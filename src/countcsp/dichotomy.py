@@ -12,18 +12,23 @@ The decision procedure runs three stages, cheapest first: Mal'tsev
 detection, a direct search for an unbalanced count matrix among small
 formulas (a fast disproof), and only then the full automorphism sweep.
 Power-structure elements are integers encoding base-q digit strings
-(big-endian); the power relations are never materialized.
+(big-endian, maltsev.encode); the power relations are never materialized.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .counting import balance_matrix
 from .frames import Instance
-from .maltsev import MaltsevOp, RectangularityViolation, find_maltsev_with_certificate
+from .maltsev import (
+    MaltsevOp,
+    RectangularityViolation,
+    encode,
+    find_maltsev_with_certificate,
+)
 from .oracle import CapExceededError
 from .relations import CountMatrix, RelationalStructure, is_rank_one_block
 
@@ -54,13 +59,6 @@ class SearchBudget:
             raise BudgetExhausted("node budget of %d exhausted" % self.max_nodes)
 
 
-def _encode(digits: Sequence[int], q: int) -> int:
-    x = 0
-    for d in digits:
-        x = x * q + d
-    return x
-
-
 @dataclass(frozen=True)
 class PatternTriple:
     """The three sixth-power elements whose automorphism behaviour encodes
@@ -84,7 +82,7 @@ def patterns(q: int, a: int, b: int, c: int, d: int) -> PatternTriple:
     sd = (c, c, d, d, d, c)
     td = (d, d, c, c, c, d)
     return PatternTriple(
-        (a, b, c, d), fd, sd, td, _encode(fd, q), _encode(sd, q), _encode(td, q)
+        (a, b, c, d), fd, sd, td, encode(fd, q), encode(sd, q), encode(td, q)
     )
 
 
@@ -155,7 +153,7 @@ class _PowerSearchContext:
                     continue
                 for combo in itertools.product(*pools):
                     elems = tuple(
-                        _encode([base[m] for base in combo], self.q)
+                        encode([base[m] for base in combo], self.q)
                         for m in range(r)
                     )
                     found.setdefault((ri, elems), None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .maltsev import MaltsevOp, apply
+from .maltsev import MaltsevOp, apply, encode
 from .relations import Partition, Relation, partition_from_groups, project
 
 
@@ -103,10 +103,79 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     projection appears. Seeds are deduplicated on the projection (first one
     kept), and the loop stops early once all q^|indices| projections exist.
     The projection of the result equals the projection of the full closure.
+
+    Projections are packed into base-q codes (maltsev.encode), and phi on
+    them is one lookup in phi.power_table(|indices|). When q^|indices|
+    exceeds maltsev.POWER_TABLE_MAX_CODES (81) there is no table, and the
+    same loop runs on tuples; both give the same list in the same order.
     """
     idx = tuple(sorted(set(indices)))
     if not idx:
         raise ValueError("need at least one projection index")
+    table = phi.power_table(len(idx))
+    if table is None:
+        return _closure_tuples(rows, phi, idx)
+    q = phi.q
+    Q = q ** len(idx)
+    full: list = []
+    codes: list = []
+    seen = bytearray(Q)
+    for t in rows:
+        c = encode([t[i] for i in idx], q)
+        if not seen[c]:
+            seen[c] = 1
+            full.append(tuple(t))
+            codes.append(c)
+            if len(codes) == Q:
+                return full
+
+    def grow(u: int, k1: int, k2: int, k3: int) -> bool:
+        seen[u] = 1
+        full.append(apply(phi, full[k1], full[k2], full[k3]))
+        codes.append(u)
+        return len(codes) == Q
+
+    # The triples j1 >= j2 >= j3 of _closure_tuples, in its order, with the
+    # arrangements of _maltsev_perms written out.
+    j1 = 1
+    while j1 < len(codes):
+        x1 = codes[j1]
+        for j2 in range(j1):
+            x2 = codes[j2]
+            for j3 in range(j2):
+                x3 = codes[j3]
+                u = table[(x1 * Q + x2) * Q + x3]
+                if not seen[u] and grow(u, j1, j2, j3):
+                    return full
+                u = table[(x1 * Q + x3) * Q + x2]
+                if not seen[u] and grow(u, j1, j3, j2):
+                    return full
+                u = table[(x2 * Q + x1) * Q + x3]
+                if not seen[u] and grow(u, j2, j1, j3):
+                    return full
+                u = table[(x2 * Q + x3) * Q + x1]
+                if not seen[u] and grow(u, j2, j3, j1):
+                    return full
+                u = table[(x3 * Q + x1) * Q + x2]
+                if not seen[u] and grow(u, j3, j1, j2):
+                    return full
+                u = table[(x3 * Q + x2) * Q + x1]
+                if not seen[u] and grow(u, j3, j2, j1):
+                    return full
+            u = table[(x2 * Q + x1) * Q + x2]
+            if not seen[u] and grow(u, j2, j1, j2):
+                return full
+        for j3 in range(j1):
+            u = table[(x1 * Q + codes[j3]) * Q + x1]
+            if not seen[u] and grow(u, j1, j3, j1):
+                return full
+        j1 += 1
+    return full
+
+
+def _closure_tuples(rows: Iterable[tuple], phi: MaltsevOp, idx: tuple) -> list:
+    """closure_project on projected tuples, for projections too wide for a
+    power table; idx is sorted and duplicate-free."""
     table = phi.table
     q = phi.q
     full: list = []
@@ -119,29 +188,23 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
             full.append(tuple(t))
             proj.append(p)
     limit = q ** len(idx)
-
-    def close() -> None:
-        j1 = 1
-        while j1 < len(proj):
-            if len(proj) >= limit:
-                return
-            for j2 in range(j1 + 1):
-                for j3 in range(j2 + 1):
-                    for k1, k2, k3 in _maltsev_perms(j1, j2, j3):
-                        pa, pb, pc = proj[k1], proj[k2], proj[k3]
-                        u = tuple(
-                            table[(x * q + y) * q + z]
-                            for x, y, z in zip(pa, pb, pc)
-                        )
-                        if u not in seen:
-                            seen.add(u)
-                            full.append(apply(phi, full[k1], full[k2], full[k3]))
-                            proj.append(u)
-                            if len(proj) >= limit:
-                                return
-            j1 += 1
-
-    close()
+    j1 = 1
+    while j1 < len(proj) < limit:
+        for j2 in range(j1 + 1):
+            for j3 in range(j2 + 1):
+                for k1, k2, k3 in _maltsev_perms(j1, j2, j3):
+                    pa, pb, pc = proj[k1], proj[k2], proj[k3]
+                    u = tuple(
+                        table[(x * q + y) * q + z]
+                        for x, y, z in zip(pa, pb, pc)
+                    )
+                    if u not in seen:
+                        seen.add(u)
+                        full.append(apply(phi, full[k1], full[k2], full[k3]))
+                        proj.append(u)
+                        if len(proj) >= limit:
+                            return full
+        j1 += 1
     return full
 
 
@@ -360,10 +423,14 @@ class SectionCache:
 
     def get(self, values: Sequence[int]) -> Frame:
         values = tuple(values)
-        f = self._cache.get(values)
-        if f is None:
-            f = _fix_first(self.get(values[:-1]), self.phi, values[-1])
-            self._cache[values] = f
+        cache = self._cache
+        k = len(values)
+        while values[:k] not in cache:
+            k -= 1
+        f = cache[values[:k]]
+        for m in range(k, len(values)):
+            f = _fix_first(f, self.phi, values[m])
+            cache[values[:m + 1]] = f
         return f
 
 

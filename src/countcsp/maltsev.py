@@ -12,14 +12,31 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .relations import Relation, RelationalStructure
 
+# Largest code space q**k that power_table serves: a table holds Q**3 bytes
+# (531,441 at the cap) and every code fits in one byte.
+POWER_TABLE_MAX_CODES = 81
+
+
+def encode(digits: Iterable[int], q: int) -> int:
+    """Pack a digit string into one integer, base q, most significant first."""
+    x = 0
+    for d in digits:
+        x = x * q + d
+    return x
+
 
 class MaltsevOp:
-    """Ternary operation on {0..q-1} stored as a flat table of length q^3."""
+    """Ternary operation on {0..q-1} stored as a flat table of length q^3.
 
-    __slots__ = ("q", "table")
+    power_table(k) extends it to k-digit codes; the tables are built on
+    first use and cached on the operation.
+    """
+
+    __slots__ = ("q", "table", "_powers")
 
     def __init__(self, q: int, table):
         table = tuple(table)
@@ -34,9 +51,51 @@ class MaltsevOp:
                     raise ValueError("table violates the Mal'tsev identities")
         self.q = q
         self.table = table
+        self._powers: dict = {0: bytearray(1)}
 
     def __call__(self, a: int, b: int, c: int) -> int:
         return self.table[(a * self.q + b) * self.q + c]
+
+    def power_table(self, k: int) -> bytearray | None:
+        """The operation acting coordinatewise on k-digit codes (see encode).
+
+        Entry (a*Q + b)*Q + c of the returned table, Q = q**k, is the code
+        of the image of the digit strings coded a, b and c. Returns None when
+        Q exceeds POWER_TABLE_MAX_CODES. The table is shared by every caller
+        and must not be modified.
+        """
+        t = self._powers.get(k)
+        if t is not None:
+            return t
+        if k < 0:
+            raise ValueError("power must be nonnegative")
+        q = self.q
+        if q**k > POWER_TABLE_MAX_CODES:
+            return None
+        # Split each code into its leading digit and a (k-1)-digit rest. For
+        # fixed a and b the row over c is q blocks, one per leading digit c0
+        # of c: the rest table's row for (a_rest, b_rest) with every code
+        # shifted by phi(a0, b0, c0) * P. Codes stay below 81, so a byte
+        # translation does the shift.
+        sub = self.power_table(k - 1)
+        P = q ** (k - 1)
+        Q = P * q
+        shifts = [bytes((x + d * P) & 0xFF for x in range(256)) for d in range(q)]
+        shifted = [
+            [sub[r * P:(r + 1) * P].translate(s) for s in shifts] for r in range(P * P)
+        ]
+        t = bytearray(Q * Q * Q)
+        pos = 0
+        for a0 in range(q):
+            for ar in range(P):
+                for b0 in range(q):
+                    images = self.table[(a0 * q + b0) * q:(a0 * q + b0 + 1) * q]
+                    for rows in shifted[ar * P:(ar + 1) * P]:
+                        for d in images:
+                            t[pos:pos + P] = rows[d]
+                            pos += P
+        self._powers[k] = t
+        return t
 
     def __eq__(self, other):
         return isinstance(other, MaltsevOp) and self.q == other.q and self.table == other.table

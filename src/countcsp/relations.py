@@ -42,7 +42,7 @@ class Relation:
             if len(t) != arity:
                 raise ValueError("tuple %r does not have arity %d" % (t, arity))
             for v in t:
-                if not isinstance(v, int) or v < 0:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise ValueError("domain elements are nonnegative ints, got %r" % (v,))
             seen.add(t)
         self.arity = arity

@@ -1,11 +1,14 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
 from countcsp import (
     Instance,
     Relation,
+    SectionCache,
     add_constraint,
     add_constraint_split,
     build_frame,
@@ -26,6 +29,8 @@ from countcsp.fixtures import (
     random_instance,
     xor3_structure,
 )
+from countcsp.frames import _closure_tuples
+from countcsp.maltsev import POWER_TABLE_MAX_CODES
 from helpers import brute_solutions, naive_maltsev_closure
 
 XOR3 = xor3_structure()
@@ -45,20 +50,39 @@ def test_initial_frame_shape():
 
 
 def test_closure_project_matches_naive_fixpoint():
+    # Arity up to 6 reaches projections too wide for a power table (q=3,
+    # five or more indices). The reference closes the projected rows, which
+    # is the projection of the closure since phi acts coordinatewise; the
+    # cubic fixpoint on whole 6-ary rows takes tens of seconds.
     rng = random.Random(11)
     for _ in range(40):
         op = MIN2 if rng.random() < 0.5 else OP3
         q = op.q
-        arity = rng.randint(1, 4)
+        arity = rng.randint(1, 6)
         rows = {
             tuple(rng.randrange(q) for _ in range(arity))
             for _ in range(rng.randint(1, 5))
         }
         idx = tuple(sorted(rng.sample(range(arity), rng.randint(1, arity))))
-        full = naive_maltsev_closure(rows, op)
         got = {tuple(t[i] for i in idx) for t in closure_project(rows, op, idx)}
-        want = {tuple(t[i] for i in idx) for t in full}
-        assert got == want
+        assert got == naive_maltsev_closure({tuple(t[i] for i in idx) for t in rows}, op)
+
+
+def test_closure_project_packed_path_matches_tuple_loop():
+    rng = random.Random(5)
+    for _ in range(300):
+        op = MIN2 if rng.random() < 0.5 else OP3
+        q = op.q
+        arity = rng.randint(1, 6)
+        rows = [
+            tuple(rng.randrange(q) for _ in range(arity))
+            for _ in range(rng.randint(1, 12))
+        ]
+        idx = [rng.randrange(arity) for _ in range(rng.randint(1, arity))]
+        if q ** len(set(idx)) > POWER_TABLE_MAX_CODES:
+            continue
+        want = _closure_tuples(rows, op, tuple(sorted(set(idx))))
+        assert closure_project(rows, op, idx) == want
 
 
 def test_closure_results_stay_inside_closure():
@@ -125,6 +149,19 @@ def test_fix_prefix_sections():
     # unreachable prefix gives the empty frame
     g = build_frame(CONSTS, find_maltsev(CONSTS), Instance(2, [("C0", (0,))]))
     assert fix_prefix(g, find_maltsev(CONSTS), (1,)).is_empty()
+
+
+def test_section_cache_pins_long_prefixes_without_recursion():
+    f = initial_frame(60, 2)
+    prefix = (0, 1) * 22 + (1,)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        sec = SectionCache(f, MIN2).get(prefix)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert dump(sec) == dump(fix_prefix(f, MIN2, prefix))
+    assert sec.arity == 15 and len(sec.rows) == 16
 
 
 def test_collapse_scope():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from countcsp import (
@@ -12,11 +14,13 @@ from countcsp import (
     preserves,
 )
 from countcsp.fixtures import (
+    diagonal_structure,
     disequality_structure,
     or_structure,
     rank_defect_structure,
     xor3_structure,
 )
+from countcsp.maltsev import POWER_TABLE_MAX_CODES, encode
 
 
 def minority_table():
@@ -44,6 +48,27 @@ def test_op_validates_identities():
 def test_apply_is_coordinatewise():
     op = MaltsevOp(2, minority_table())
     assert apply(op, (0, 0, 1), (0, 1, 1), (1, 1, 1)) == (1, 0, 1)
+
+
+def test_encode_is_big_endian_base_q():
+    assert encode((), 3) == 0
+    assert encode((1, 0, 2), 3) == 11
+    assert encode([1, 1, 0, 1], 2) == 13
+
+
+def test_power_table_matches_coordinatewise_apply():
+    for op, kmax in ((MaltsevOp(2, minority_table()), 6), (find_maltsev(diagonal_structure()), 4)):
+        q = op.q
+        for k in range(1, kmax + 1):
+            table = op.power_table(k)
+            words = list(itertools.product(range(q), repeat=k))
+            want = bytes(
+                encode(apply(op, a, b, c), q) for a in words for b in words for c in words
+            )
+            assert table == want
+            assert op.power_table(k) is table
+        assert q ** (kmax + 1) > POWER_TABLE_MAX_CODES
+        assert op.power_table(kmax + 1) is None
 
 
 def test_xor3_gets_minority():

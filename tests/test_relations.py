@@ -38,6 +38,8 @@ def test_relation_validation():
         Relation(2, [(0, 1, 2)])
     with pytest.raises(ValueError):
         Relation(1, [(-1,)])
+    with pytest.raises(ValueError):
+        Relation(2, [(True, False)])
 
 
 def test_project_orders_and_dedups():
