@@ -36,10 +36,10 @@ from .dichotomy import (
     decide_strong_balance,
     verdict_to_text,
 )
-from .frames import Instance, build_frame, dump
+from .frames import build_frame, dump
 from .maltsev import find_maltsev
 from .oracle import CapExceededError, oracle_count
-from .relations import Relation, RelationalStructure
+from .relations import Instance, Relation, RelationalStructure
 
 
 class CliParseError(ValueError):

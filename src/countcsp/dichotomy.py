@@ -21,16 +21,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .counting import balance_matrix
-from .frames import Instance
 from .maltsev import (
     MaltsevOp,
     RectangularityViolation,
     encode,
     find_maltsev_with_certificate,
 )
-from .oracle import CapExceededError
-from .relations import CountMatrix, RelationalStructure, is_rank_one_block
+from .oracle import CapExceededError, balance_matrix
+from .relations import CountMatrix, Instance, RelationalStructure, is_rank_one_block
 
 VERDICT_BALANCED = "BALANCED"
 VERDICT_NOT_BALANCED = "NOT_BALANCED"

@@ -9,8 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .frames import Instance
-from .relations import Relation, RelationalStructure
+from .relations import Instance, Relation, RelationalStructure
 
 
 def xor3_structure() -> RelationalStructure:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
-from .relations import Partition, Relation, partition_from_groups, project
+from .relations import Instance, Partition, Relation, partition_from_groups, project
 
 
 class Frame:
@@ -65,14 +65,20 @@ class Frame:
     def witness_row(self, a: int, i: int) -> tuple:
         return self.rows[self.witness[(a, i)]]
 
+    def prefix_groups(self) -> list:
+        """For every position i, a dict from witness-row i-prefix to the
+        values at i whose witnesses carry it, in witness-map order; one pass
+        over the witness map."""
+        groups: list = [{} for _ in range(self.arity)]
+        rows = self.rows
+        for (a, i), k in self.witness.items():
+            groups[i].setdefault(rows[k][:i], []).append(a)
+        return groups
+
     def position_classes(self, i: int) -> Partition:
         """Classes of the shared-prefix equivalence at position i, read off
         the witness map (equivalent values carry identical witness prefixes)."""
-        groups: dict = {}
-        for (a, p), k in self.witness.items():
-            if p == i:
-                groups.setdefault(self.rows[k][:i], []).append(a)
-        return Partition.from_classes(groups.values())
+        return Partition.from_classes(self.prefix_groups()[i].values())
 
     def __repr__(self) -> str:
         return "Frame(arity=%d, rows=%d)" % (self.arity, len(self.rows))
@@ -331,14 +337,11 @@ def shrink_to_small(frame: Frame, phi: MaltsevOp) -> Frame:
             seen[row] = k
         return k
 
+    groups = frame.prefix_groups()
     for i in range(n):
         g = frame.witness_row(f[i], i)
         pivot_prefix = g[:i]
-        groups: dict = {}
-        for (a, p), k in frame.witness.items():
-            if p == i:
-                groups.setdefault(frame.rows[k][:i], []).append(a)
-        for prefix, members in groups.items():
+        for prefix, members in groups[i].items():
             if prefix == pivot_prefix:
                 for a in sorted(members):
                     if a == f[i]:
@@ -370,16 +373,13 @@ def _fix_first(frame: Frame, phi: MaltsevOp, a: int) -> Frame:
     rows: list = []
     seen: dict = {}
     witness: dict = {}
+    groups = frame.prefix_groups()
     for i in range(1, n):
         present: dict = {}
         for t in closure_project(frame.rows, phi, (0, i)):
             if t[0] == a and t[i] not in present:
                 present[t[i]] = t
-        groups: dict = {}
-        for (b, p), k in frame.witness.items():
-            if p == i:
-                groups.setdefault(frame.rows[k][:i], []).append(b)
-        for members in groups.values():
+        for members in groups[i].values():
             hit = sorted(b for b in members if b in present)
             if not hit:
                 continue
@@ -531,44 +531,6 @@ def add_constraint_split(frame: Frame, phi: MaltsevOp, relation: Relation, scope
             return empty_frame(frame.arity)
         g = add_constraint(g, phi, project(relation, range(k)), scope[:k])
     return g
-
-
-class Instance:
-    """A conjunctive formula: a variable count and (relation name, scope)
-    constraints with 0-based, possibly repeating scope variables."""
-
-    __slots__ = ("num_vars", "constraints")
-
-    def __init__(self, num_vars: int, constraints: Iterable = ()):
-        if num_vars < 0:
-            raise ValueError("variable count must be nonnegative")
-        cons = []
-        for name, scope in constraints:
-            scope = tuple(scope)
-            if not scope:
-                raise ValueError("empty scope")
-            for v in scope:
-                if not 0 <= v < num_vars:
-                    raise ValueError("scope variable %d out of range" % v)
-            cons.append((str(name), scope))
-        self.num_vars = num_vars
-        self.constraints = tuple(cons)
-
-    def constrained_variables(self) -> tuple:
-        return tuple(sorted({v for _, scope in self.constraints for v in scope}))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Instance)
-            and self.num_vars == other.num_vars
-            and self.constraints == other.constraints
-        )
-
-    def __repr__(self):
-        return "Instance(vars=%d, constraints=%d)" % (
-            self.num_vars,
-            len(self.constraints),
-        )
 
 
 def build_frame(structure, phi: MaltsevOp, instance: Instance, split: bool = False) -> Frame:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .relations import Relation, RelationalStructure
 
@@ -120,7 +120,8 @@ def free_entries(q: int):
 
 def apply(op: MaltsevOp, t1, t2, t3) -> tuple:
     """Coordinatewise application to three equal-length tuples."""
-    return tuple(op(a, b, c) for a, b, c in zip(t1, t2, t3))
+    table, q = op.table, op.q
+    return tuple([table[(a * q + b) * q + c] for a, b, c in zip(t1, t2, t3)])
 
 
 def preserves(op: MaltsevOp, relation: Relation) -> bool:
@@ -150,6 +151,18 @@ def _forced(a: int, b: int, c: int) -> int | None:
     if b == c:
         return a
     return None
+
+
+def _completion(q: int, free_values: Mapping) -> MaltsevOp:
+    """The operation taking free_values[(a, b, c)] on the free entries and
+    the value the identities force everywhere else."""
+    table = []
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                f = _forced(a, b, c)
+                table.append(free_values[(a, b, c)] if f is None else f)
+    return MaltsevOp(q, table)
 
 
 def find_maltsev_with_certificate(
@@ -244,13 +257,7 @@ def find_maltsev_with_certificate(
         if level < 0:
             return None, None
 
-    table = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                f = _forced(a, b, c)
-                table.append(values[position[(a, b, c)]] if f is None else f)
-    return MaltsevOp(q, table), None
+    return _completion(q, dict(zip(free, values))), None
 
 
 def find_maltsev(structure: RelationalStructure) -> MaltsevOp | None:
@@ -266,13 +273,6 @@ def enumerate_maltsev(structure: RelationalStructure):
     q = structure.domain_size
     free = free_entries(q)
     for combo in itertools.product(range(q), repeat=len(free)):
-        assignment = dict(zip(free, combo))
-        table = []
-        for a in range(q):
-            for b in range(q):
-                for c in range(q):
-                    f = _forced(a, b, c)
-                    table.append(assignment[(a, b, c)] if f is None else f)
-        op = MaltsevOp(q, table)
+        op = _completion(q, dict(zip(free, combo)))
         if all(preserves(op, rel) for rel in structure.relations.values()):
             yield op

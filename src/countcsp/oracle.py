@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .frames import Instance
 from .relations import (
     CongruencePair,
     CountMatrix,
+    Instance,
     Partition,
     Relation,
     RelationalStructure,
@@ -126,3 +126,17 @@ def pair_matrix(relation: Relation, i: int, j: int) -> CountMatrix:
     rows = sorted({x for (x, _) in entries})
     cols = sorted({y for (_, y) in entries})
     return CountMatrix(rows, cols, entries)
+
+
+def balance_matrix(
+    structure: RelationalStructure,
+    instance: Instance,
+    i: int,
+    j: int,
+    cap_bits: int = DEFAULT_CAP_BITS,
+) -> CountMatrix:
+    """Pairwise solution-count matrix M(x, y) = number of solutions with
+    value x at variable i and y at variable j, by full enumeration. A
+    reference quantity: the fast path never needs it, tests and the
+    balance refuter do."""
+    return pair_matrix(enumerate_solutions(structure, instance, cap_bits), i, j)

@@ -1,4 +1,4 @@
-"""Finite relations, relational structures, and count matrices.
+"""Finite relations, relational structures, instances, and count matrices.
 
 Domains are always {0, ..., q-1}. Relations are finite sets of tuples over
 such a domain; count matrices carry exact (arbitrary precision) integer
@@ -105,38 +105,24 @@ class BlockDecomposition:
 
 
 def _bipartite_blocks(pairs: Iterable[tuple]) -> BlockDecomposition:
-    """Union-find over an edge list; accepts any hashable vertex labels."""
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    edges = list(pairs)
-    for a, b in edges:
-        # tag the two sides so a label may appear on both without merging
-        ka, kb = (0, a), (1, b)
-        parent.setdefault(ka, ka)
-        parent.setdefault(kb, kb)
-        union(ka, kb)
-    groups: dict = {}
-    for a, b in edges:
-        root = find((0, a))
-        rows, cols = groups.setdefault(root, (set(), set()))
-        rows.add(a)
-        cols.add(b)
-    blocks = sorted(
-        ((frozenset(r), frozenset(c)) for r, c in groups.values()),
-        key=lambda rc: min(rc[0]),
-    )
+    """Components of an edge list; accepts any hashable vertex labels."""
+    # Tag the two sides so a label may appear on both without merging. Every
+    # class holds a row, so its least element (0, least row) orders the blocks.
+    blocks = []
+    for cls in partition_from_groups(((0, a), (1, b)) for a, b in pairs):
+        rows = frozenset(x for side, x in cls if side == 0)
+        cols = frozenset(x for side, x in cls if side == 1)
+        blocks.append((rows, cols))
     return BlockDecomposition(tuple(blocks))
+
+
+def _blocks_complete(edges: Iterable[tuple], blocks: BlockDecomposition) -> bool:
+    """True iff every block of the edge set is a complete bipartite graph,
+    that is, holds |rows|*|cols| of the edges."""
+    for rows, cols in blocks:
+        if sum(1 for e in edges if e[0] in rows) != len(rows) * len(cols):
+            return False
+    return True
 
 
 def block_decompose(relation: Relation) -> BlockDecomposition:
@@ -158,14 +144,7 @@ def is_rectangular(relation: Relation, left_arity: int = 1) -> bool:
     if not 1 <= left_arity < relation.arity:
         raise ValueError("split must leave both sides nonempty")
     pairs = {(t[:left_arity], t[left_arity:]) for t in relation.tuples}
-    if not pairs:
-        return True
-    for rows, cols in _bipartite_blocks(pairs):
-        # a component is complete iff it holds |rows|*|cols| edges
-        edge_count = sum(1 for p in pairs if p[0] in rows)
-        if edge_count != len(rows) * len(cols):
-            return False
-    return True
+    return _blocks_complete(pairs, _bipartite_blocks(pairs))
 
 
 class CountMatrix:
@@ -221,11 +200,7 @@ def support_blocks(matrix: CountMatrix) -> BlockDecomposition:
 
 
 def support_is_rectangular(matrix: CountMatrix) -> bool:
-    for rows, cols in support_blocks(matrix):
-        count = sum(1 for rc in matrix.entries if rc[0] in rows)
-        if count != len(rows) * len(cols):
-            return False
-    return True
+    return _blocks_complete(matrix.entries, support_blocks(matrix))
 
 
 def is_rank_one_block(matrix: CountMatrix) -> bool:
@@ -236,10 +211,9 @@ def is_rank_one_block(matrix: CountMatrix) -> bool:
     every 2x2 minor vanishing.
     """
     blocks = support_blocks(matrix)
+    if not _blocks_complete(matrix.entries, blocks):
+        return False
     for rows, cols in blocks:
-        count = sum(1 for rc in matrix.entries if rc[0] in rows)
-        if count != len(rows) * len(cols):
-            return False
         rs, cs = sorted(rows), sorted(cols)
         base_r = rs[0]
         base_row = [matrix.get(base_r, c) for c in cs]
@@ -467,68 +441,39 @@ class RelationalStructure:
         )
 
 
-class PowerStructure:
-    """The k-th power of a structure, never materialized.
+class Instance:
+    """A conjunctive formula: a variable count and (relation name, scope)
+    constraints with 0-based, possibly repeating scope variables."""
 
-    Elements of the power domain are base-q encodings of k-tuples (big
-    endian, so tuple order matches numeric order). A tuple belongs to a power
-    relation iff each of the k coordinate slices belongs to the base
-    relation, so membership is checked componentwise and tuple sets are
-    enumerated lazily as k-fold products.
-    """
+    __slots__ = ("num_vars", "constraints")
 
-    def __init__(self, base: RelationalStructure, k: int):
-        if k < 1:
-            raise ValueError("power must be positive")
-        self.base = base
-        self.k = k
-        self.domain_size = base.domain_size ** k
+    def __init__(self, num_vars: int, constraints: Iterable = ()):
+        if num_vars < 0:
+            raise ValueError("variable count must be nonnegative")
+        cons = []
+        for name, scope in constraints:
+            scope = tuple(scope)
+            if not scope:
+                raise ValueError("empty scope")
+            for v in scope:
+                if not 0 <= v < num_vars:
+                    raise ValueError("scope variable %d out of range" % v)
+            cons.append((str(name), scope))
+        self.num_vars = num_vars
+        self.constraints = tuple(cons)
 
-    def encode(self, digits: Sequence[int]) -> int:
-        q = self.base.domain_size
-        x = 0
-        for d in digits:
-            if not 0 <= d < q:
-                raise ValueError("digit out of range")
-            x = x * q + d
-        return x
+    def constrained_variables(self) -> tuple:
+        return tuple(sorted({v for _, scope in self.constraints for v in scope}))
 
-    def decode(self, x: int) -> tuple:
-        q = self.base.domain_size
-        out = []
-        for _ in range(self.k):
-            x, d = divmod(x, q)
-            out.append(d)
-        if x:
-            raise ValueError("element out of range")
-        return tuple(reversed(out))
+    def __eq__(self, other):
+        return (
+            isinstance(other, Instance)
+            and self.num_vars == other.num_vars
+            and self.constraints == other.constraints
+        )
 
-    @property
-    def relation_names(self):
-        return self.base.relation_names
-
-    def contains(self, name: str, t) -> bool:
-        slices = [self.decode(x) for x in t]
-        rel = self.base.relation(name)
-        for j in range(self.k):
-            if tuple(s[j] for s in slices) not in rel:
-                return False
-        return True
-
-    def tuples(self, name: str):
-        rel = self.base.relation(name)
-        for choice in itertools.product(rel.tuples, repeat=self.k):
-            yield tuple(
-                self.encode([choice[j][i] for j in range(self.k)])
-                for i in range(rel.arity)
-            )
-
-    def size(self, name: str) -> int:
-        return len(self.base.relation(name)) ** self.k
-
-
-def power_structure(base: RelationalStructure, k: int):
-    """k-th power view; the first power is the structure itself."""
-    if k == 1:
-        return base
-    return PowerStructure(base, k)
+    def __repr__(self):
+        return "Instance(vars=%d, constraints=%d)" % (
+            self.num_vars,
+            len(self.constraints),
+        )

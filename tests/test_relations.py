@@ -6,7 +6,6 @@ from countcsp import (
     BlockDecomposition,
     CountMatrix,
     Partition,
-    PowerStructure,
     ReconstructionError,
     Relation,
     RelationalStructure,
@@ -14,13 +13,14 @@ from countcsp import (
     is_rank_one_block,
     is_rectangular,
     partition_from_groups,
-    power_structure,
     project,
     rank_one_identity_holds,
     reconstruct_rank_one,
     support_blocks,
     support_is_rectangular,
 )
+from countcsp.dichotomy import _PowerSearchContext
+from countcsp.maltsev import encode
 from helpers import fraction_rank, rank_one_block_oracle
 
 
@@ -231,17 +231,20 @@ def test_structure_normalizes_unused_elements():
 
 def test_power_structure_encoding_and_membership():
     st = RelationalStructure(2, {"R": Relation(2, [(0, 1), (1, 0)])})
-    p = power_structure(st, 3)
-    assert isinstance(p, PowerStructure)
-    assert p.encode((1, 0, 1)) == 5
-    assert p.decode(5) == (1, 0, 1)
+    ctx = _PowerSearchContext(st, 3)
+    assert encode((1, 0, 1), 2) == 5
+    assert ctx.digits[5] == (1, 0, 1)
     # (0,1) in each slice: elements 0b010=2 and 0b101=5
-    assert p.contains("R", (2, 5))
-    assert not p.contains("R", (2, 4))
-    tuples = set(p.tuples("R"))
-    assert len(tuples) == p.size("R") == len(st.relation("R")) ** 3
-    assert all(p.contains("R", t) for t in tuples)
-    assert power_structure(st, 1) is st
+    through = {elems for _, elems in ctx.tuples_through(2)}
+    assert (2, 5) in through
+    assert (2, 4) not in through
+    tuples = {elems for x in range(ctx.size) for _, elems in ctx.tuples_through(x)}
+    assert len(tuples) == len(st.relation("R")) ** 3
+    assert all(
+        tuple(ctx.digits[x][d] for x in t) in st.relation("R")
+        for t in tuples
+        for d in range(3)
+    )
 
 
 def test_fraction_rank_helper():
