@@ -13,13 +13,17 @@ detection, a direct search for an unbalanced count matrix among small
 formulas (a fast disproof), and only then the full automorphism sweep.
 Power-structure elements are integers encoding base-q digit strings
 (big-endian, maltsev.encode); the power relations are never materialized.
+The sweep grows its search order only as deep as the search reaches, so
+power tuples are enumerated only through elements it visits, and checks a
+candidate image against a tuple with one AND of packed per-digit masks.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .maltsev import (
     MaltsevOp,
@@ -90,7 +94,10 @@ class _PowerSearchContext:
     Elements are encoded digit strings. Tuples of a power relation are
     enumerated only through one fixed element: choosing one base tuple per
     digit with the element's digit at a fixed position and reading the
-    columns back as encoded elements.
+    columns back as encoded elements. Membership of an image tuple is one
+    AND of packed masks: masks[ri][m][e] has bit d*|R|+i set iff digit d of
+    e equals R[i][m]. Base tuples are distinct, so each digit block keeps at
+    most one bit, and the image lies in R^k iff k bits survive.
     """
 
     def __init__(self, structure: RelationalStructure, k: int):
@@ -101,9 +108,9 @@ class _PowerSearchContext:
         self.size = self.q ** k
         self.digits = list(itertools.product(range(self.q), repeat=k))
         self.rels = [structure.relations[name] for name in sorted(structure.relations)]
-        self.rel_sets = [rel._set for rel in self.rels]
         # slices[ri][p][v]: base tuples of relation ri with value v at p
         self.slices = []
+        self.masks = []
         for rel in self.rels:
             per_pos = []
             for p in range(rel.arity):
@@ -112,6 +119,14 @@ class _PowerSearchContext:
                     by_val[t[p]].append(t)
                 per_pos.append(by_val)
             self.slices.append(per_pos)
+            blocks = [
+                [sum(1 << i for i, t in enumerate(rel) if t[m] == v) for v in range(self.q)]
+                for m in range(rel.arity)
+            ]
+            self.masks.append([
+                [sum(block[v] << d * len(rel) for d, v in enumerate(dx)) for dx in self.digits]
+                for block in blocks
+            ])
         # occurrence profile: tuples through x at (ri, p) factorize over digits
         profiles: dict = {}
         self.occ_id = []
@@ -141,92 +156,78 @@ class _PowerSearchContext:
         cached = self._through.get(x)
         if cached is not None:
             return cached
-        dx = self.digits[x]
         found: dict = {}
         for ri, rel in enumerate(self.rels):
-            r = rel.arity
-            for p in range(r):
-                pools = [self.slices[ri][p][d] for d in dx]
-                if any(not pool for pool in pools):
-                    continue
-                for combo in itertools.product(*pools):
-                    elems = tuple(
-                        encode([base[m] for base in combo], self.q)
-                        for m in range(r)
-                    )
-                    found.setdefault((ri, elems), None)
+            for p in range(rel.arity):
+                # columns encoded digit by digit, big-endian as encode()
+                cols = [(0,) * rel.arity]
+                for d, v in enumerate(self.digits[x]):
+                    w = self.q ** (self.k - 1 - d)
+                    pool = [tuple(w * b for b in base) for base in self.slices[ri][p][v]]
+                    cols = [tuple(map(operator.add, col, c)) for col in cols for c in pool]
+                found.update(dict.fromkeys((ri, col) for col in cols))
         out = tuple(found)
         self._through[x] = out
         return out
 
-    def neighbors(self, x: int) -> set:
-        out: set = set()
-        for _, elems in self.tuples_through(x):
-            out.update(elems)
-        out.discard(x)
+    def closed_checks(self, x: int, rank: Mapping) -> list:
+        """Packed checks for the tuples through x whose other elements all
+        come earlier in the search order (rank): per tuple, the mask tables
+        at x's positions and (mask table, element) pairs at the others."""
+        out = []
+        level = rank[x]
+        for ri, elems in self.tuples_through(x):
+            if all(rank.get(e, self.size) <= level for e in elems):
+                tables = self.masks[ri]
+                out.append((
+                    [tables[m] for m, e in enumerate(elems) if e == x],
+                    [(tables[m], e) for m, e in enumerate(elems) if e != x],
+                ))
         return out
 
-    def search_order(self, seeds: Iterable[int]) -> list:
-        """Whole-domain order: breadth-first along shared tuples starting
-        from the seeds, then from the least unvisited element, so that by
-        assignment time as many tuple partners as possible are pinned."""
-        order: list = []
-        visited: set = set()
-        queue: list = sorted(set(seeds))
-        head = 0
-        for s in queue:
-            visited.add(s)
-        while len(order) < self.size:
-            if head == len(queue):
-                for x in range(self.size):
-                    if x not in visited:
-                        visited.add(x)
-                        queue.append(x)
-                        break
-            x = queue[head]
-            head += 1
-            order.append(x)
-            for y in sorted(self.neighbors(x)):
-                if y not in visited:
-                    visited.add(y)
-                    queue.append(y)
-        return order
-
-    def candidates(self, x: int, assignment: dict, used: set, fixes: Mapping) -> list:
+    def candidates(
+        self, x: int, checks: list, assignment: dict, used: set, fixes: Mapping
+    ) -> Iterator[int]:
+        """Unused images for x in its occurrence class that pass its closed
+        checks. Lazy: the search resumes it only after undoing every deeper
+        step, so assignment and used read the same as at the first call."""
         if x in fixes:
             pool: Iterable = (fixes[x],)
         else:
             pool = self.class_members[self.occ_id[x]]
-        checks = [
-            (ri, elems)
-            for ri, elems in self.tuples_through(x)
-            if all(e == x or e in assignment for e in elems)
-        ]
-        digits = self.digits
-        out: list = []
+        partial = []
+        for at_x, others in checks:
+            acc = -1
+            for table, e in others:
+                acc &= table[assignment[e]]
+            partial.append((acc, at_x))
+        k = self.k
         for f in pool:
             if f in used or self.occ_id[f] != self.occ_id[x]:
                 continue
-            ok = True
-            for ri, elems in checks:
-                img = [f if e == x else assignment[e] for e in elems]
-                rel_set = self.rel_sets[ri]
-                for d in range(self.k):
-                    if tuple(digits[e][d] for e in img) not in rel_set:
-                        ok = False
-                        break
-                if not ok:
+            for acc, at_x in partial:
+                for table in at_x:
+                    acc &= table[f]
+                if acc.bit_count() != k:
                     break
-            if ok:
-                out.append(f)
-        return out
+            else:
+                yield f
 
     def search(self, fixes: Mapping, budget: SearchBudget) -> Optional[tuple]:
         """Depth-first search for an automorphism extending `fixes`;
         returns the image table or None. Injectivity plus forward
         preservation on a finite structure already forces a full
-        automorphism, so only those two properties are enforced."""
-        order = self.search_order(fixes.keys())
+        automorphism, so only those two properties are enforced.
+
+        The variable order is breadth-first along shared tuples from the
+        fixed elements, then from the least unplaced element, so that by
+        assignment time as many tuple partners as possible are pinned. It
+        grows, with each depth's closed checks, only when the search first
+        reaches that depth."""
+        order: list = sorted(set(fixes))
+        rank = {x: i for i, x in enumerate(order)}
+        least = 0
+        checks: list = []
         assignment: dict = {}
         used: set = set()
         iters: list = []
@@ -234,9 +235,21 @@ class _PowerSearchContext:
         while True:
             if level == self.size:
                 return tuple(assignment[x] for x in range(self.size))
-            if level == len(iters):
-                iters.append(iter(self.candidates(order[level], assignment, used, fixes)))
+            if level == len(checks):
+                if level:
+                    near = self.tuples_through(order[level - 1])
+                    for y in sorted({e for _, t in near for e in t if e not in rank}):
+                        rank[y] = len(order)
+                        order.append(y)
+                if level == len(order):
+                    while least in rank:
+                        least += 1
+                    rank[least] = level
+                    order.append(least)
+                checks.append(self.closed_checks(order[level], rank))
             x = order[level]
+            if level == len(iters):
+                iters.append(self.candidates(x, checks[level], assignment, used, fixes))
             f = next(iters[level], None)
             if f is None:
                 iters.pop()

@@ -17,6 +17,14 @@ class ReconstructionError(ValueError):
     block matrix (mismatched block totals or a non-integral entry)."""
 
 
+class UnknownRelationError(KeyError):
+    """A relation name the structure cannot resolve: not a user relation,
+    not EQ, and not CONST_<a> with a inside the domain."""
+
+    def __str__(self) -> str:
+        return "no relation named %r in the structure" % self.args[0]
+
+
 RESERVED_EQ = "EQ"
 RESERVED_CONST_PREFIX = "CONST_"
 
@@ -415,12 +423,11 @@ class RelationalStructure:
             return self._eq
         if name.startswith(RESERVED_CONST_PREFIX):
             tail = name[len(RESERVED_CONST_PREFIX):]
-            if not tail.isdigit():
-                raise KeyError(name)
-            a = int(tail)
-            if not 0 <= a < self.domain_size:
-                raise KeyError(name)
-            return Relation(1, [(a,)])
+            if not (tail.isascii() and tail.isdigit()) or int(tail) >= self.domain_size:
+                raise UnknownRelationError(name)
+            return Relation(1, [(int(tail),)])
+        if name not in self.relations:
+            raise UnknownRelationError(name)
         return self.relations[name]
 
     def contains(self, name: str, t) -> bool:

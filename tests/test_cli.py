@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from countcsp import cli
@@ -128,6 +133,21 @@ def test_resolve_instance_checks():
         resolve_instance(st, parse_instance_text("vars 2\nconstraint XOR3 1 2\n"))
     assert "arity" in str(exc.value)
     resolve_instance(st, parse_instance_text("vars 2\nconstraint EQ 1 2\n"))
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    s = _file(tmp_path, "s", XOR3_TEXT)
+    assert cli.main(["analyze", s]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "countcsp", "analyze", s],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_analyze_command(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from countcsp import (
     Instance,
     NotBalancedError,
+    UnknownRelationError,
     balance_matrix,
     build_frame,
     congruences,
@@ -29,6 +30,31 @@ import helpers
 
 XOR3 = xor3_structure()
 MIN2 = find_maltsev(XOR3)
+
+
+def _fast_and_oracle(structure, instance):
+    phi = find_maltsev(structure)
+    return (
+        lambda: count(structure, phi, instance),
+        lambda: build_frame(structure, phi, instance),
+        lambda: oracle_count(structure, instance),
+    )
+
+
+def test_scope_arity_mismatch_is_rejected_everywhere():
+    for run in _fast_and_oracle(XOR3, Instance(2, [("XOR3", (0, 1))])):
+        with pytest.raises(ValueError, match="scope length does not match relation arity"):
+            run()
+
+
+@pytest.mark.parametrize("name", ["NOPE", "CONST_2", "CONST_x", "CONST_\u00b2"])
+def test_unknown_relation_name_is_a_typed_error(name):
+    for run in _fast_and_oracle(XOR3, Instance(1, [(name, (0,))])):
+        with pytest.raises(UnknownRelationError) as exc:
+            run()
+        assert isinstance(exc.value, KeyError)
+        assert exc.value.args == (name,)
+        assert str(exc.value) == "no relation named %r in the structure" % name
 
 
 def test_count_single_constraint():

@@ -1,8 +1,13 @@
+import hashlib
+import itertools
+
 import pytest
 
 from countcsp import (
     BudgetExhausted,
     Instance,
+    Relation,
+    RelationalStructure,
     SearchBudget,
     decide_strong_balance,
     find_automorphism,
@@ -11,13 +16,16 @@ from countcsp import (
     verdict_to_text,
 )
 from countcsp.dichotomy import (
+    DEFAULT_SWEEP_NODES,
     VERDICT_BALANCED,
     VERDICT_NOT_BALANCED,
     VERDICT_NOT_STRONGLY_RECTANGULAR,
     VERDICT_TIMEOUT,
+    _PowerSearchContext,
 )
 from countcsp.fixtures import (
     constants_structure,
+    diagonal_structure,
     disequality_structure,
     even_parity4_structure,
     or_structure,
@@ -155,3 +163,84 @@ def test_verdict_text_witnesses():
     assert lines[1].startswith("witness=relation OR triple ")
     text = verdict_to_text(decide_strong_balance(xor3_structure(), max_nodes=1))
     assert "witness=quadruple a=0 b=0 c=0 d=1" in text
+
+
+def test_decide_diagonal3_balanced():
+    v = decide_strong_balance(diagonal_structure(3))
+    assert v.kind == VERDICT_BALANCED
+    assert v.quadruples_checked == 54
+
+
+def _affine3_structure():
+    """x + y + z = 0 (mod 3): affine, hence balanced, but its sweep needs
+    far more nodes than the languages above."""
+    triples = [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0]
+    return RelationalStructure(3, {"AFF3": Relation(3, triples)})
+
+
+def _sweep(structure, max_nodes=DEFAULT_SWEEP_NODES):
+    """decide_strong_balance's sweep with its results kept: per quadruple
+    the pattern, the nodes spent and the image table, or "TIMEOUT" or
+    None where the decision would stop."""
+    ctx = _PowerSearchContext(structure, 6)
+    q = structure.domain_size
+    out = []
+    for a, b, c, d in itertools.product(range(q), repeat=4):
+        if c == d:
+            continue
+        pat = patterns(q, a, b, c, d)
+        budget = SearchBudget(max_nodes)
+        try:
+            image = ctx.search({pat.fixed: pat.fixed, pat.source: pat.target}, budget)
+        except BudgetExhausted:
+            image = "TIMEOUT"
+        out.append((pat, budget.used, image))
+        if image in (None, "TIMEOUT"):
+            break
+    return ctx, out
+
+
+def _digest(image):
+    return hashlib.sha256(repr(image).encode()).hexdigest()[:16]
+
+
+# Per quadruple: nodes spent and the first 16 hex digits of the SHA-256 of
+# repr(image table), recorded with the eager search order and digit-wise
+# membership checks that the lazy order and packed masks replaced.
+SWEEP_PINS = {
+    "xor3": [
+        ((0, 0, 0, 1), 64, "b686347032762a6e"),
+        ((0, 0, 1, 0), 212, "98473c9b4e532f11"),
+        ((0, 1, 0, 1), 64, "b686347032762a6e"),
+        ((0, 1, 1, 0), 212, "98473c9b4e532f11"),
+        ((1, 0, 0, 1), 156, "2991e9de471002a2"),
+        ((1, 0, 1, 0), 138, "2991e9de471002a2"),
+        ((1, 1, 0, 1), 156, "2991e9de471002a2"),
+        ((1, 1, 1, 0), 353, "2991e9de471002a2"),
+    ],
+    "constants": [
+        ((a, b, c, 1 - c), 64, "a9f8eb99f09cc636" if c == 0 else "1ae1244f25e03458")
+        for a, b, c in itertools.product((0, 1), repeat=3)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PINS))
+def test_sweep_steps_and_witnesses(name):
+    structure = {"xor3": xor3_structure, "constants": constants_structure}[name]()
+    _, sweep = _sweep(structure)
+    assert [(p.quadruple, used, _digest(image)) for p, used, image in sweep] == SWEEP_PINS[name]
+    for pat, _, image in sweep:
+        assert helpers.is_power_automorphism(structure, 6, image)
+        assert image[pat.fixed] == pat.fixed
+        assert image[pat.source] == pat.target
+
+
+def test_affine3_timeout_is_pinned_and_enumerates_only_reached_elements():
+    ctx, sweep = _sweep(_affine3_structure(), max_nodes=1000)
+    assert [(p.quadruple, used, image) for p, used, image in sweep] == [
+        ((0, 0, 0, 1), 1001, "TIMEOUT")
+    ]
+    # The search reaches depth 45, so only 46 of the 729 elements need
+    # their tuples enumerated.
+    assert len(ctx._through) < ctx.size // 10

@@ -1,6 +1,9 @@
 """Property-based checks of the algebraic primitives against brute force."""
 
-from hypothesis import given
+import functools
+import operator
+
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from countcsp import (
@@ -81,6 +84,22 @@ def test_power_encoding_round_trip(q, data):
     x = encode(digits, q)
     assert 0 <= x < q ** k
     assert _PowerSearchContext(RelationalStructure(q), k).digits[x] == digits
+
+
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_packed_membership_matches_digitwise_check(q, arity, k, data):
+    row = st.tuples(*[st.integers(0, q - 1)] * arity)
+    rows = data.draw(st.lists(row, min_size=1, max_size=8))
+    assume(len({v for t in rows for v in t}) >= 2)
+    ctx = _PowerSearchContext(RelationalStructure(q, {"R": Relation(arity, rows)}), k)
+    rel = ctx.rels[0]
+    # one base tuple per digit, a member of R or not, read back as columns
+    any_row = st.tuples(*[st.integers(0, ctx.q - 1)] * arity)
+    per_digit = [data.draw(st.sampled_from(rel.tuples) | any_row) for _ in range(k)]
+    image = [encode([t[m] for t in per_digit], ctx.q) for m in range(arity)]
+    packed = functools.reduce(operator.and_, (ctx.masks[0][m][e] for m, e in enumerate(image)))
+    digitwise = all(tuple(ctx.digits[e][d] for e in image) in rel for d in range(k))
+    assert (packed.bit_count() == k) == digitwise
 
 
 @given(
