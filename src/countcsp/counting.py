@@ -109,6 +109,8 @@ def congruences(
         raise ValueError("need 1 <= i < j <= arity-1")
     if sections is None:
         sections = SectionCache(frame, phi)
+    else:
+        sections.check(frame, phi)
     if pinned is None:
         pinned = {}
     if support is None:
@@ -130,7 +132,7 @@ def congruences(
         key = (j, a)
         sub = pinned.get(key)
         if sub is None:
-            sub = add_constraint(frame, phi, Relation(1, [(a,)]), (j,))
+            sub = add_constraint(frame, phi, Relation(1, [(a,)]), (j,), sections=sections)
             pinned[key] = sub
         backward_classes.extend(sub.position_classes(i))
 

@@ -16,7 +16,7 @@ to a row index.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
 from .relations import Instance, Partition, Relation, partition_from_groups, project
@@ -114,10 +114,16 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     them is one lookup in phi.power_table(|indices|). When q^|indices|
     exceeds maltsev.POWER_TABLE_MAX_CODES (81) there is no table, and the
     same loop runs on tuples; both give the same list in the same order.
+    An index that is negative or not below the first row's length raises
+    ValueError.
     """
     idx = tuple(sorted(set(indices)))
     if not idx:
         raise ValueError("need at least one projection index")
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)
+    if idx[0] < 0 or (rows and idx[-1] >= len(rows[0])):
+        raise ValueError("projection indices %r out of range" % (idx,))
     table = phi.power_table(len(idx))
     if table is None:
         return _closure_tuples(rows, phi, idx)
@@ -355,13 +361,27 @@ def shrink_to_small(frame: Frame, phi: MaltsevOp) -> Frame:
     return Frame(n, rows, witness)
 
 
-def _fix_first(frame: Frame, phi: MaltsevOp, a: int) -> Frame:
+def _pair_index(frame: Frame, phi: MaltsevOp) -> tuple:
+    """What every section of one frame reads: per position i >= 1 the (0, i)
+    pair closure grouped as a -> {b: the tuple through (a, b)}, plus
+    frame.prefix_groups(). Sibling sections share one build."""
+    pairs: list = [{} for _ in range(frame.arity)]
+    if frame.rows:
+        for i in range(1, frame.arity):
+            for t in closure_project(frame.rows, phi, (0, i)):
+                pairs[i].setdefault(t[0], {})[t[i]] = t
+    return pairs, frame.prefix_groups()
+
+
+def _fix_first(frame: Frame, phi: MaltsevOp, a: int, index: Optional[tuple] = None) -> Frame:
     """Frame for the section "first coordinate pinned to a", one arity lower.
 
     For each later position, the pair closure with position 0 supplies one
     tuple through (a, b) per reachable value b; a shared-prefix class either
     meets the section wholly or not at all, and one phi application moves
     each class witness onto the prefix of the class's in-section tuple.
+    `index` is the frame's _pair_index, built here when not given; callers
+    pinning several values of one frame pass one index to all of them.
     """
     n = frame.arity
     if n < 1:
@@ -370,15 +390,12 @@ def _fix_first(frame: Frame, phi: MaltsevOp, a: int) -> Frame:
         return empty_frame(n - 1)
     if n == 1:
         return Frame(0, ((),), {})
+    pairs, groups = index if index is not None else _pair_index(frame, phi)
     rows: list = []
     seen: dict = {}
     witness: dict = {}
-    groups = frame.prefix_groups()
     for i in range(1, n):
-        present: dict = {}
-        for t in closure_project(frame.rows, phi, (0, i)):
-            if t[0] == a and t[i] not in present:
-                present[t[i]] = t
+        present = pairs[i].get(a, {})
         for members in groups[i].values():
             hit = sorted(b for b in members if b in present)
             if not hit:
@@ -413,13 +430,17 @@ class SectionCache:
     """Memoized prefix sections of one fixed frame.
 
     Counting and congruence computations pin many nested prefixes of the
-    same frame; caching by prefix makes each single-coordinate section pay
-    for itself once.
+    same frame; caching by prefix builds each section once, and caching the
+    pair index of each cached section lets all of its child sections share
+    one set of pair closures. One count shares one cache between its
+    congruences and their pinned add_constraint calls.
     """
 
     def __init__(self, frame: Frame, phi: MaltsevOp):
+        self.frame = frame
         self.phi = phi
         self._cache: dict = {(): frame}
+        self._index: dict = {}
 
     def get(self, values: Sequence[int]) -> Frame:
         values = tuple(values)
@@ -429,9 +450,18 @@ class SectionCache:
             k -= 1
         f = cache[values[:k]]
         for m in range(k, len(values)):
-            f = _fix_first(f, self.phi, values[m])
+            index = self._index.get(values[:m])
+            if index is None:
+                index = self._index[values[:m]] = _pair_index(f, self.phi)
+            f = _fix_first(f, self.phi, values[m], index)
             cache[values[:m + 1]] = f
         return f
+
+    def check(self, frame: Frame, phi: MaltsevOp) -> None:
+        """Raise ValueError unless this cache holds sections of frame under
+        phi."""
+        if self.frame is not frame or self.phi is not phi:
+            raise ValueError("the section cache was built for another frame or operation")
 
 
 def collapse_scope(relation: Relation, scope: Sequence[int]):
@@ -464,25 +494,41 @@ def collapse_scope(relation: Relation, scope: Sequence[int]):
     return Relation(len(distinct), kept), tuple(distinct)
 
 
-def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> Frame:
+def add_constraint(
+    frame: Frame,
+    phi: MaltsevOp,
+    relation: Relation,
+    scope,
+    sections: Optional[SectionCache] = None,
+) -> Frame:
     """Small frame for (generated relation) AND relation(scope variables).
 
     Per position i: project the current relation onto scope + {i} and filter
     by the constraint to learn which position-i values survive, then pin the
     prefix of a surviving tuple and redo the filtered projection inside that
     section to harvest one whole shared-prefix class of the conjunction with
-    common-prefix witnesses. Repeats until every surviving value has a
-    witness, then shrinks.
+    common-prefix witnesses. Past the last scope variable the prefix already
+    satisfies the constraint, so the class is the frame's own and its
+    witnesses come from the frame's witness rows without a section. Repeats
+    until every surviving value has a witness, then shrinks.
+
+    `sections` is a SectionCache of this frame and phi to share with other
+    callers (ValueError if it belongs to another frame or operation).
     """
     n = frame.arity
     relation, scope = collapse_scope(relation, scope)
     for v in scope:
         if not 0 <= v < n:
             raise ValueError("scope variable %d out of range" % v)
+    if sections is not None:
+        sections.check(frame, phi)
     if frame.is_empty() or not relation.tuples:
         return empty_frame(n)
+    if sections is None:
+        sections = SectionCache(frame, phi)
     scope_set = set(scope)
-    sections = SectionCache(frame, phi)
+    last = max(scope)
+    groups = frame.prefix_groups() if last < n - 1 else None
     rows: list = []
     seen: dict = {}
     witness: dict = {}
@@ -498,14 +544,22 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
         remaining = {t[i] for t in sat}
         while remaining:
             t = next(tt for tt in sat if tt[i] in remaining)
-            sec = sections.get(t[:i])
-            Jp = sorted({v - i for v in scope_set if v >= i} | {0})
-            prefix = t[:i]
             found: dict = {}
-            for s in closure_project(sec.rows, phi, Jp):
-                full = prefix + s
-                if s[0] not in found and tuple(full[v] for v in scope) in relation:
-                    found[s[0]] = full
+            if i > last:
+                g = frame.witness_row(t[i], i)
+                for members in groups[i].values():
+                    if t[i] in members:
+                        for b in members:
+                            found[b] = apply(phi, t, g, frame.witness_row(b, i))
+                        break
+            else:
+                sec = sections.get(t[:i])
+                Jp = sorted({v - i for v in scope_set if v >= i} | {0})
+                prefix = t[:i]
+                for s in closure_project(sec.rows, phi, Jp):
+                    full = prefix + s
+                    if s[0] not in found and tuple(full[v] for v in scope) in relation:
+                        found[s[0]] = full
             if t[i] not in found:
                 raise ValueError("inputs violate the frame invariants")
             for a in sorted(found):

@@ -5,6 +5,7 @@ import pytest
 from countcsp import (
     Instance,
     NotBalancedError,
+    SectionCache,
     UnknownRelationError,
     balance_matrix,
     build_frame,
@@ -14,6 +15,7 @@ from countcsp import (
     empty_frame,
     enumerate_solutions,
     find_maltsev,
+    initial_frame,
     oracle_congruence_pair,
     oracle_count,
 )
@@ -114,6 +116,15 @@ def test_congruences_match_oracle():
                     assert got.backward == want.backward, (inst, i, j)
                     checked += 1
     assert checked > 50
+
+
+def test_congruences_reject_a_cache_of_another_frame():
+    f = build_frame(XOR3, MIN2, Instance(3, [("XOR3", (0, 1, 2))]))
+    with pytest.raises(ValueError):
+        congruences(f, MIN2, 1, 2, sections=SectionCache(initial_frame(3, 2), MIN2))
+    got = congruences(f, MIN2, 1, 2, sections=SectionCache(f, MIN2))
+    assert [sorted(c) for c in got.forward] == [[0], [1]]
+    assert got == congruences(f, MIN2, 1, 2)
 
 
 def test_trace_stages_match_brute_prefix_counts():

@@ -85,6 +85,16 @@ def test_closure_project_packed_path_matches_tuple_loop():
         assert closure_project(rows, op, idx) == want
 
 
+def test_closure_project_rejects_indices_outside_the_rows():
+    rows = [(0, 0, 0), (1, 1, 0)]
+    for idx in ((5,), (-1,), (0, 3), (-2, 1)):
+        with pytest.raises(ValueError):
+            closure_project(rows, MIN2, idx)
+    with pytest.raises(ValueError):
+        closure_project(iter(rows), MIN2, (3,))
+    assert closure_project(iter(rows), MIN2, (2,)) == [(0, 0, 0)]
+
+
 def test_closure_results_stay_inside_closure():
     rows = [(0, 0, 0), (1, 1, 0), (0, 1, 1)]
     full = naive_maltsev_closure(rows, MIN2)
@@ -162,6 +172,17 @@ def test_section_cache_pins_long_prefixes_without_recursion():
         sys.setrecursionlimit(limit)
     assert dump(sec) == dump(fix_prefix(f, MIN2, prefix))
     assert sec.arity == 15 and len(sec.rows) == 16
+
+
+def test_section_cache_of_another_frame_is_rejected():
+    f = build_frame(XOR3, MIN2, Instance(3, [("XOR3", (0, 1, 2))]))
+    pin = Relation(1, [(1,)])
+    with pytest.raises(ValueError):
+        add_constraint(f, MIN2, pin, (2,), sections=SectionCache(initial_frame(3, 2), MIN2))
+    with pytest.raises(ValueError):
+        add_constraint(f, MIN2, pin, (2,), sections=SectionCache(f, find_maltsev(XOR3)))
+    shared = add_constraint(f, MIN2, pin, (2,), sections=SectionCache(f, MIN2))
+    assert dump(shared) == dump(add_constraint(f, MIN2, pin, (2,)))
 
 
 def test_collapse_scope():

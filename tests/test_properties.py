@@ -3,7 +3,9 @@
 import functools
 import operator
 
-from hypothesis import assume, given
+import random
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from countcsp import (
@@ -11,7 +13,11 @@ from countcsp import (
     Instance,
     Relation,
     RelationalStructure,
+    SectionCache,
+    add_constraint,
+    build_frame,
     count,
+    dump,
     find_maltsev,
     is_rank_one_block,
     oracle_count,
@@ -19,7 +25,13 @@ from countcsp import (
     project,
 )
 from countcsp.dichotomy import _PowerSearchContext
-from countcsp.fixtures import xor3_structure
+from countcsp.fixtures import (
+    constants_structure,
+    diagonal_structure,
+    random_instance,
+    xor3_structure,
+)
+from countcsp.frames import _fix_first, _pair_index
 from countcsp.maltsev import encode
 
 import helpers
@@ -112,3 +124,30 @@ def test_packed_membership_matches_digitwise_check(q, arity, k, data):
 def test_count_matches_brute_force_on_parity_instances(scopes):
     inst = Instance(4, [("XOR3", s) for s in scopes])
     assert count(XOR3, MIN2, inst, verify=True) == oracle_count(XOR3, inst)
+
+
+SECTION_LANGUAGES = [
+    (s, find_maltsev(s))
+    for s in (xor3_structure(), diagonal_structure(3), constants_structure())
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1))
+def test_shared_sections_equal_fresh_ones(k, seed):
+    structure, phi = SECTION_LANGUAGES[k]
+    inst = random_instance(structure, random.Random(seed), max_vars=5, max_constraints=4)
+    frame = build_frame(structure, phi, inst)
+    assume(frame.arity >= 2 and not frame.is_empty())
+    # one index for every first-coordinate section, values outside the
+    # projection included
+    index = _pair_index(frame, phi)
+    for a in range(structure.domain_size):
+        assert dump(_fix_first(frame, phi, a, index)) == dump(_fix_first(frame, phi, a))
+    # pinned frames drawn through one cache, which fills as they go
+    shared = SectionCache(frame, phi)
+    for j in range(frame.arity):
+        for a in frame.projection(j):
+            pin = Relation(1, [(a,)])
+            got = add_constraint(frame, phi, pin, (j,), sections=shared)
+            assert dump(got) == dump(add_constraint(frame, phi, pin, (j,)))
