@@ -8,7 +8,10 @@ each position i carries, per class of the "shares a length-i prefix in R"
 equivalence, witness rows with one common prefix. Frames support linear-time
 membership tests and can be rebuilt after conjoining one more constraint,
 which is how build_frame processes a whole instance without ever
-materializing R.
+materializing R. Its frame grows as variables appear: a variable no
+constraint has touched yet is a free coordinate, which needs no closure, so
+build_frame keeps the frame over the touched variables only and inserts a
+free coordinate when a constraint first mentions one.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -16,6 +19,7 @@ to a row index.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
@@ -229,19 +233,40 @@ def span(frame: Frame, phi: MaltsevOp) -> Relation:
     return Relation(frame.arity, rows)
 
 
+def _insert_free(frame: Frame, p: int, q: int) -> Frame:
+    """Frame of the generated relation with a free coordinate inserted at
+    position p (the relation times D, the new factor at p).
+
+    Every row gets 0 at p, and row 0 with a at p is added for each a != 0;
+    the witnesses at p are row 0 and these rows, so they share row 0's
+    prefix. Later witness positions shift by one and keep their classes,
+    because every row has the same value at p. An empty frame stays empty.
+    """
+    n = frame.arity
+    if not 0 <= p <= n:
+        raise ValueError("insertion position %d out of range" % p)
+    if frame.is_empty():
+        return empty_frame(n + 1)
+    rows = [r[:p] + (0,) + r[p:] for r in frame.rows]
+    base = rows[0]
+    witness = {(a, i + (i >= p)): k for (a, i), k in frame.witness.items()}
+    witness[(0, p)] = 0
+    for a in range(1, q):
+        witness[(a, p)] = len(rows)
+        rows.append(base[:p] + (a,) + base[p + 1:])
+    return Frame(n + 1, rows, witness)
+
+
 def initial_frame(n: int, q: int) -> Frame:
     """Frame of the full relation D^n: the all-zero row plus one row per
-    (position, nonzero value) pair; size n(q-1)+1."""
+    (position, nonzero value) pair; size n(q-1)+1. It is n free coordinates
+    inserted at the end of the arity-0 frame."""
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
-    base = (0,) * n
-    rows = [base]
-    witness = {(0, i): 0 for i in range(n)}
-    for i in range(n):
-        for a in range(1, q):
-            rows.append(base[:i] + (a,) + base[i + 1:])
-            witness[(a, i)] = len(rows) - 1
-    return Frame(n, rows, witness)
+    f = Frame(0, ((),), {})
+    for p in range(n):
+        f = _insert_free(f, p, q)
+    return f
 
 
 def frame_from_rows(arity: int, rows: Iterable[tuple]) -> Frame:
@@ -589,16 +614,37 @@ def add_constraint_split(frame: Frame, phi: MaltsevOp, relation: Relation, scope
 
 def build_frame(structure, phi: MaltsevOp, instance: Instance, split: bool = False) -> Frame:
     """Small frame for the instance's solution set, built one constraint at
-    a time in file order."""
+    a time in file order.
+
+    The frame grows as variables appear: it is kept over the sorted list of
+    variables that some constraint has touched so far, starting from the
+    arity-0 frame, and a free coordinate is inserted at a variable's sorted
+    position when a constraint first mentions it. Each constraint is added
+    with its scope renumbered to positions in that list, so no closure or
+    section runs over a variable no constraint has reached yet. Variables
+    still untouched at the end are inserted the same way.
+    """
     n = instance.num_vars
-    if n == 0:
-        return Frame(0, ((),), {})
-    f = initial_frame(n, structure.domain_size)
+    q = structure.domain_size
     add = add_constraint_split if split else add_constraint
+    touched: list = []
+    f = Frame(0, ((),), {})
     for name, scope in instance.constraints:
-        f = add(f, phi, structure.relation(name), scope)
+        relation = structure.relation(name)
+        for v in sorted(set(scope)):
+            p = bisect_left(touched, v)
+            if p == len(touched) or touched[p] != v:
+                touched.insert(p, v)
+                f = _insert_free(f, p, q)
+        pos = {v: k for k, v in enumerate(touched)}
+        f = add(f, phi, relation, tuple(pos[v] for v in scope))
         if f.is_empty():
-            return f
+            return empty_frame(n)
+    # all variables below v are in touched by now, so v belongs at position v
+    for v in range(n):
+        if len(touched) <= v or touched[v] != v:
+            touched.insert(v, v)
+            f = _insert_free(f, v, q)
     return f
 
 

@@ -180,6 +180,16 @@ def test_decide_command(tmp_path, capsys):
     assert capsys.readouterr().out == "SAT\n"
     assert dumpfile.read_text().startswith("frame n=3 rows=")
 
+    # variable 3 of 5 is in no constraint: the frame still spans all five
+    gap = "vars 5\nconstraint XOR3 4 1 2\nconstraint XOR3 5 4 4\n"
+    code = cli.main(["decide", s, _file(tmp_path, "g", gap), "--dump-frame", str(dumpfile)])
+    assert code == 0
+    assert capsys.readouterr().out == "SAT\n"
+    lines = dumpfile.read_text().splitlines()
+    assert lines[0].startswith("frame n=5 rows=")
+    witnessed = {int(line.split()[2][2:]) for line in lines if line.startswith("witness")}
+    assert witnessed == set(range(5))
+
     assert cli.main(["decide", s, _file(tmp_path, "u", XOR_UNSAT)]) == 1
     assert capsys.readouterr().out == "UNSAT\n"
 

@@ -240,6 +240,40 @@ def test_split_equals_direct():
             assert span(direct, op) == span(split, op)
 
 
+def _generated(frame, op, q):
+    return [t for t in itertools.product(range(q), repeat=frame.arity) if member(frame, op, t)]
+
+
+def test_build_frame_handles_any_variable_order():
+    # Variables first appear out of order (5, 0, 3, ...), scopes repeat
+    # variables, and 1 (middle) and 6 (end) stay untouched.
+    cases = [
+        (XOR3, MIN2, [("XOR3", (5, 0, 3)), ("XOR3", (4, 4, 0)), ("XOR3", (2, 5, 2))]),
+        (XOR3, MIN2, [("XOR3", (5, 0, 3)), ("CONST_1", (3,)), ("EQ", (2, 4))]),
+        (DIAG3, OP3, [("DIAG", (5, 0, 3)), ("EQ", (4, 4)), ("DIAG", (2, 2, 5))]),
+        (DIAG3, OP3, [("CONST_2", (5,)), ("DIAG", (3, 0, 3)), ("EQ", (2, 4))]),
+        # unsatisfiable
+        (DIAG3, OP3, [("DIAG", (5, 0, 3)), ("CONST_1", (0,)), ("DIAG", (4, 3, 2)), ("CONST_2", (4,))]),
+    ]
+    for st, op, cons in cases:
+        inst = Instance(7, cons)
+        assert inst.constrained_variables() == (0, 2, 3, 4, 5)
+        sols = brute_solutions(st, inst)
+        for split in (False, True):
+            f = build_frame(st, op, inst, split=split)
+            assert f.arity == 7
+            assert f.is_empty() == (not sols)
+            assert _generated(f, op, st.domain_size) == sols
+            assert len(f.rows) <= 7 * (st.domain_size - 1) + 1
+
+
+def test_build_frame_without_constraints_is_the_initial_frame():
+    for st, op in ((XOR3, MIN2), (DIAG3, OP3)):
+        for n in (1, 2, 5):
+            f = build_frame(st, op, Instance(n, []))
+            assert dump(f) == dump(initial_frame(n, st.domain_size))
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         Instance(2, [("R", ())])

@@ -1,6 +1,7 @@
 """Property-based checks of the algebraic primitives against brute force."""
 
 import functools
+import itertools
 import operator
 
 import random
@@ -20,6 +21,7 @@ from countcsp import (
     dump,
     find_maltsev,
     is_rank_one_block,
+    member,
     oracle_count,
     partition_from_groups,
     project,
@@ -31,7 +33,7 @@ from countcsp.fixtures import (
     random_instance,
     xor3_structure,
 )
-from countcsp.frames import _fix_first, _pair_index
+from countcsp.frames import _fix_first, _insert_free, _pair_index
 from countcsp.maltsev import encode
 
 import helpers
@@ -151,3 +153,21 @@ def test_shared_sections_equal_fresh_ones(k, seed):
             pin = Relation(1, [(a,)])
             got = add_constraint(frame, phi, pin, (j,), sections=shared)
             assert dump(got) == dump(add_constraint(frame, phi, pin, (j,)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1))
+def test_insert_free_adds_one_free_coordinate(k, seed):
+    structure, phi = SECTION_LANGUAGES[k]
+    q = structure.domain_size
+    inst = random_instance(structure, random.Random(seed), max_vars=5, max_constraints=4)
+    frame = build_frame(structure, phi, inst)
+    n = frame.arity
+    old = [t for t in itertools.product(range(q), repeat=n) if member(frame, phi, t)]
+    for p in range(n + 1):
+        new = _insert_free(frame, p, q)
+        assert new.arity == n + 1
+        got = [t for t in itertools.product(range(q), repeat=n + 1) if member(new, phi, t)]
+        assert got == sorted(t[:p] + (a,) + t[p:] for t in old for a in range(q))
+        if len(frame.rows) <= n * (q - 1) + 1:
+            assert len(new.rows) <= (n + 1) * (q - 1) + 1

@@ -1,17 +1,23 @@
-"""Prefix sections are built once per count, and sharing them changes no
-frame, count or trace.
+"""Prefix sections are built once per count, and neither sharing them nor
+growing frames as variables appear changes a generated relation, count or
+trace.
 
-The digests below were recorded with a fresh section cache per pinned
-add_constraint, pair closures per section and sections past a constraint's
-scope; sharing must keep frames, counts and traces byte-identical to that.
+The count-and-trace digests were recorded with a fresh section cache per
+pinned add_constraint, pair closures per section and sections past a
+constraint's scope, and frames over all n variables from the start. The
+relation digests (every tuple of D^n that member accepts) were recorded with
+those frames too. The frame-dump digests were re-recorded once build_frame
+grew its frames as variables appear: the rows changed, the relations they
+generate did not.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
-from countcsp import Instance, build_frame, count, dump, find_maltsev
+from countcsp import Instance, build_frame, count, dump, find_maltsev, member
 from countcsp import counting, frames
 from countcsp.fixtures import (
     constants_structure,
@@ -26,19 +32,23 @@ BATTERY = {
     "constants": constants_structure(),
 }
 
-# language -> (SHA-256 of the frame dumps, SHA-256 of the counts and traces)
+# language -> SHA-256 of (the frame dumps, the counts and traces, the
+# generated relations)
 DIGESTS = {
     "xor3": (
-        "b3bfce054344f5a68543980c2975573b419347e37d2a56cc50990c6c26938003",
+        "b078e3bf10c090339b3eeedf3094ee1cb7e4da696f85e73a0b23be84fd1fbae5",
         "940dc6dd2393143fae0792c544cf80493401186081a083a2af1588c0507f016b",
+        "250647245648b597d4216ce7bd7ead8cb68457e50e8f6dd1afa9f39884e0206f",
     ),
     "diag3": (
-        "7fbf7be820e49c16646ce87881e9afd40d354bd4afc696ff62bcc5bc09e47a77",
+        "90439f4b1892001903afec173db6df9d30f0b53f83726aa6e09f10ae4c343b5a",
         "31803e60785b052c2e363e3f6ce3897edfa30a666d2b8f8702c81c0ca0cb2be0",
+        "fe3c1e08771b03c6a24e6a0b478a8a45d37b2ebf06b447ec63a44a4aea8791ab",
     ),
     "constants": (
-        "185c58027d7049def6b1c3d06754b247f061f294277da15e874a0fee8ce6e10f",
+        "d245bbc05acde567abc8e4a5a305ed611f0aed313251845352f8760327af911d",
         "ccde3132e7e4083f25ba91a426ff15bdc656d7c75733474475b6b5ef91d69523",
+        "d7eaa72f5a5b13f7823254cc2cd6d643a6f29c6959c6f65d532243493d51d747",
     ),
 }
 
@@ -59,19 +69,32 @@ def trace_text(trace: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def relation_text(frame, phi, q: int) -> str:
+    """The generated relation: every tuple of D^n that member accepts, in
+    lexicographic order, after a header with n."""
+    lines = ["n=%d" % frame.arity]
+    for t in itertools.product(range(q), repeat=frame.arity):
+        if member(frame, phi, t):
+            lines.append(" ".join(map(str, t)))
+    return "\n".join(lines) + "\n"
+
+
 def battery_digests(structure) -> tuple:
     rng = random.Random(2718)
     phi = find_maltsev(structure)
     frame_hash = hashlib.sha256()
     count_hash = hashlib.sha256()
+    relation_hash = hashlib.sha256()
     for _ in range(60):
         inst = random_instance(structure, rng, max_vars=8, max_constraints=7)
-        frame_hash.update(dump(build_frame(structure, phi, inst)).encode())
+        frame = build_frame(structure, phi, inst)
+        frame_hash.update(dump(frame).encode())
+        relation_hash.update(relation_text(frame, phi, structure.domain_size).encode())
         trace: list = []
         c = count(structure, phi, inst, trace=trace)
         count_hash.update(("%d\n" % c).encode())
         count_hash.update(trace_text(trace).encode())
-    return frame_hash.hexdigest(), count_hash.hexdigest()
+    return frame_hash.hexdigest(), count_hash.hexdigest(), relation_hash.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(BATTERY))
@@ -97,5 +120,6 @@ def test_one_count_builds_each_section_once(monkeypatch):
     n = 20
     inst = Instance(n, [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)])
     assert count(st, find_maltsev(st), inst) == 4
-    # Per-call caches make 23,849 closures and 2,002 sections here.
-    assert calls == {"closure_project": 9030, "_fix_first": 597}
+    # Per-call caches make 23,849 closures and 2,002 sections here, and
+    # frames over all n variables from the start 9,030 closures.
+    assert calls == {"closure_project": 6163, "_fix_first": 597}
