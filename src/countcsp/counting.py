@@ -22,13 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .frames import (
-    Frame,
-    SectionCache,
-    add_constraint,
-    build_frame,
-    closure_project,
-)
+from .frames import Frame, SectionCache, build_frame, closure_project
 from .maltsev import MaltsevOp
 
 # Not used here. The benchmark's tracer test reads both names through this
@@ -39,7 +33,6 @@ from .relations import (
     CountMatrix,
     Instance,
     Partition,
-    Relation,
     ReconstructionError,
     RelationalStructure,
     _bipartite_blocks,
@@ -79,8 +72,10 @@ class CountStep:
     counts: PrefixCounts
 
 
-def _pair_support(frame: Frame, phi: MaltsevOp, i: int, j: int) -> set:
-    return {(t[i], t[j]) for t in closure_project(frame.rows, phi, (i, j))}
+def _pair_support(frame: Frame, phi: MaltsevOp, i: int, j: int) -> dict:
+    """The (i, j) pair closure: (x, y) -> a tuple of the generated relation
+    with x at i and y at j, one per reachable pair."""
+    return {(t[i], t[j]): t for t in closure_project(frame.rows, phi, (i, j))}
 
 
 def congruences(
@@ -89,20 +84,26 @@ def congruences(
     i: int,
     j: int,
     sections: Optional[SectionCache] = None,
-    pinned: Optional[dict] = None,
-    support: Optional[set] = None,
+    support: Optional[dict] = None,
 ) -> CongruencePair:
     """Both coordinate-pair congruences of the generated relation, without
     enumerating it.
 
     Forward classes come from prefix sections: the class of value b at j is
-    the section of b's witness prefix, projected back to position j. For the
-    backward side, pinning position j to one column of each support block
-    yields a frame of the pinned relation whose witness prefixes group the
-    block's row values; distinct blocks contribute disjoint classes.
+    the section of b's witness prefix, projected back to position j.
 
-    `sections` and `pinned` allow callers doing many pairs over one frame to
-    share the section cache and the pinned frames (keyed by (j, value)).
+    Backward classes come from the same sections' pair closures. Let a be
+    one column of a support block and R_a the relation with a at j; R_a is
+    phi-closed, so its shared-prefix classes at i are rectangular, and the
+    class of a block row x is the set of x' for which t[:i] + (x',) extends
+    in R_a, where t is the support tuple through (x, a). Those x' are the
+    values at 0 of the section at t[:i] that reach a at position j - i.
+    Support blocks are complete bipartite, so every block row has such a t,
+    and distinct blocks contribute disjoint classes.
+
+    `sections` lets callers doing many pairs over one frame share one
+    SectionCache (ValueError if it belongs to another frame or operation);
+    `support` is this pair's _pair_support when the caller has it already.
     """
     n = frame.arity
     if not 1 <= i < j <= n - 1:
@@ -111,8 +112,6 @@ def congruences(
         sections = SectionCache(frame, phi)
     else:
         sections.check(frame, phi)
-    if pinned is None:
-        pinned = {}
     if support is None:
         support = _pair_support(frame, phi, i, j)
 
@@ -129,12 +128,14 @@ def congruences(
     backward_classes: list = []
     for block_rows, block_cols in _bipartite_blocks(support).blocks:
         a = min(block_cols)
-        key = (j, a)
-        sub = pinned.get(key)
-        if sub is None:
-            sub = add_constraint(frame, phi, Relation(1, [(a,)]), (j,), sections=sections)
-            pinned[key] = sub
-        backward_classes.extend(sub.position_classes(i))
+        covered = set()
+        for x in sorted(block_rows):
+            if x in covered:
+                continue
+            reach = sections.pairs(support[(x, a)][:i])[j - i]
+            cls = [x2 for x2, ends in reach.items() if a in ends]
+            backward_classes.append(cls)
+            covered.update(cls)
 
     return CongruencePair(
         i,
@@ -178,11 +179,10 @@ def count_frame(
             )
 
     sections = SectionCache(frame, phi)
-    pinned: dict = {}
     for i in range(1, n - 1):
         for j in range(i + 1, n):
             support = _pair_support(frame, phi, i, j)
-            cong = congruences(frame, phi, i, j, sections, pinned, support)
+            cong = congruences(frame, phi, i, j, sections=sections, support=support)
             row_rep = {x: cong.backward.representative(x) for x in frame.projection(i)}
             col_rep = {y: cong.forward.representative(y) for y in frame.projection(j)}
             row_counts = counts[(i - 1, i)]

@@ -82,7 +82,11 @@ class Frame:
     def position_classes(self, i: int) -> Partition:
         """Classes of the shared-prefix equivalence at position i, read off
         the witness map (equivalent values carry identical witness prefixes)."""
-        return Partition.from_classes(self.prefix_groups()[i].values())
+        groups: dict = {}
+        for (a, p), k in self.witness.items():
+            if p == i:
+                groups.setdefault(self.rows[k][:i], []).append(a)
+        return Partition.from_classes(groups.values())
 
     def __repr__(self) -> str:
         return "Frame(arity=%d, rows=%d)" % (self.arity, len(self.rows))
@@ -457,8 +461,9 @@ class SectionCache:
     Counting and congruence computations pin many nested prefixes of the
     same frame; caching by prefix builds each section once, and caching the
     pair index of each cached section lets all of its child sections share
-    one set of pair closures. One count shares one cache between its
-    congruences and their pinned add_constraint calls.
+    one set of pair closures. One count shares one cache among all of its
+    congruences: the forward side reads sections (get), the backward side
+    reads their pair closures (pairs).
     """
 
     def __init__(self, frame: Frame, phi: MaltsevOp):
@@ -466,6 +471,12 @@ class SectionCache:
         self.phi = phi
         self._cache: dict = {(): frame}
         self._index: dict = {}
+
+    def _index_at(self, values: tuple, f: Frame) -> tuple:
+        index = self._index.get(values)
+        if index is None:
+            index = self._index[values] = _pair_index(f, self.phi)
+        return index
 
     def get(self, values: Sequence[int]) -> Frame:
         values = tuple(values)
@@ -475,12 +486,17 @@ class SectionCache:
             k -= 1
         f = cache[values[:k]]
         for m in range(k, len(values)):
-            index = self._index.get(values[:m])
-            if index is None:
-                index = self._index[values[:m]] = _pair_index(f, self.phi)
-            f = _fix_first(f, self.phi, values[m], index)
+            f = _fix_first(f, self.phi, values[m], self._index_at(values[:m], f))
             cache[values[:m + 1]] = f
         return f
+
+    def pairs(self, values: Sequence[int]) -> list:
+        """The pair closures of the section at this prefix: per position
+        k >= 1 of the section, its (0, k) closure grouped as
+        a -> {b: the tuple through (a, b)}. Memoized with the index that
+        get's child sections read."""
+        values = tuple(values)
+        return self._index_at(values, self.get(values))[0]
 
     def check(self, frame: Frame, phi: MaltsevOp) -> None:
         """Raise ValueError unless this cache holds sections of frame under
@@ -529,7 +545,9 @@ def add_constraint(
     """Small frame for (generated relation) AND relation(scope variables).
 
     Per position i: project the current relation onto scope + {i} and filter
-    by the constraint to learn which position-i values survive, then pin the
+    by the constraint to learn which position-i values survive (at a scope
+    position that is the projection onto the scope, closed once for all of
+    them; empty means the conjunction is empty), then pin the
     prefix of a surviving tuple and redo the filtered projection inside that
     section to harvest one whole shared-prefix class of the conjunction with
     common-prefix witnesses. Past the last scope variable the prefix already
@@ -554,18 +572,23 @@ def add_constraint(
     scope_set = set(scope)
     last = max(scope)
     groups = frame.prefix_groups() if last < n - 1 else None
-    rows: list = []
-    seen: dict = {}
-    witness: dict = {}
-    for i in range(n):
-        J = sorted(scope_set | {i})
-        sat = sorted(
+
+    def satisfying(J: list) -> list:
+        return sorted(
             t
             for t in closure_project(frame.rows, phi, J)
             if tuple(t[v] for v in scope) in relation
         )
-        if not sat:
-            return empty_frame(n)
+
+    # at a scope position J is the scope itself: one closure serves them all
+    scope_sat = satisfying(sorted(scope_set))
+    if not scope_sat:
+        return empty_frame(n)
+    rows: list = []
+    seen: dict = {}
+    witness: dict = {}
+    for i in range(n):
+        sat = scope_sat if i in scope_set else satisfying(sorted(scope_set | {i}))
         remaining = {t[i] for t in sat}
         while remaining:
             t = next(tt for tt in sat if tt[i] in remaining)

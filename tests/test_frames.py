@@ -212,6 +212,16 @@ def test_add_constraint_examples():
     assert g01.is_empty()
 
 
+def test_classes_before_the_scope_can_split():
+    # XOR3(x0, x1, x2) and x2 = 0 force x1 = x0: a constraint on position 2
+    # splits the shared-prefix class at position 1, before its scope
+    f = build_frame(XOR3, MIN2, Instance(3, [("XOR3", (0, 1, 2))]))
+    assert [sorted(c) for c in f.position_classes(1)] == [[0, 1]]
+    g = add_constraint(f, MIN2, XOR3.relation("CONST_0"), (2,))
+    assert [sorted(c) for c in g.position_classes(1)] == [[0], [1]]
+    assert span(g, MIN2) == Relation(3, [(0, 0, 0), (1, 1, 0)])
+
+
 def test_add_constraint_random_battery():
     rng = random.Random(2024)
     structures = [(XOR3, MIN2), (DIAG3, OP3), (CONSTS, find_maltsev(CONSTS))]

@@ -52,6 +52,13 @@ def test_the_oracle_depends_on_relations_only():
     assert not passthrough & used
 
 
+def test_counting_pins_no_frames():
+    # congruences read sections and their pair closures; no count adds a
+    # constraint to its frame
+    assert "add_constraint" not in _package_imports("counting").get("frames", set())
+    assert not hasattr(countcsp.counting, "add_constraint")
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -12,20 +12,25 @@ from hypothesis import strategies as st
 from countcsp import (
     CountMatrix,
     Instance,
+    Partition,
     Relation,
     RelationalStructure,
     SectionCache,
     add_constraint,
     build_frame,
+    congruences,
     count,
     dump,
     find_maltsev,
     is_rank_one_block,
     member,
+    oracle_congruence_pair,
     oracle_count,
     partition_from_groups,
     project,
+    span,
 )
+from countcsp.counting import _pair_support
 from countcsp.dichotomy import _PowerSearchContext
 from countcsp.fixtures import (
     constants_structure,
@@ -35,6 +40,7 @@ from countcsp.fixtures import (
 )
 from countcsp.frames import _fix_first, _insert_free, _pair_index
 from countcsp.maltsev import encode
+from countcsp.relations import _bipartite_blocks
 
 import helpers
 
@@ -153,6 +159,35 @@ def test_shared_sections_equal_fresh_ones(k, seed):
             pin = Relation(1, [(a,)])
             got = add_constraint(frame, phi, pin, (j,), sections=shared)
             assert dump(got) == dump(add_constraint(frame, phi, pin, (j,)))
+
+
+def pinned_backward(frame, phi, i: int, j: int, support) -> Partition:
+    """The backward congruence as congruences built it before reading the
+    sections' pair closures: per support block, the shared-prefix classes at
+    i of the frame pinned to the block's least column at j."""
+    classes: list = []
+    for _, cols in _bipartite_blocks(support).blocks:
+        pinned = add_constraint(frame, phi, Relation(1, [(min(cols),)]), (j,))
+        classes.extend(pinned.position_classes(i))
+    return Partition.from_classes(classes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1))
+def test_backward_classes_from_shared_sections(k, seed):
+    structure, phi = SECTION_LANGUAGES[k]
+    inst = random_instance(structure, random.Random(seed), max_vars=6, max_constraints=4)
+    frame = build_frame(structure, phi, inst)
+    assume(frame.arity >= 3 and not frame.is_empty())
+    solutions = span(frame, phi)
+    # one cache for every pair, in count_frame's order
+    shared = SectionCache(frame, phi)
+    for i in range(1, frame.arity - 1):
+        for j in range(i + 1, frame.arity):
+            support = _pair_support(frame, phi, i, j)
+            got = congruences(frame, phi, i, j, sections=shared, support=support).backward
+            assert got == pinned_backward(frame, phi, i, j, support)
+            assert got == oracle_congruence_pair(solutions, i, j).backward
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,14 +1,16 @@
-"""Prefix sections are built once per count, and neither sharing them nor
-growing frames as variables appear changes a generated relation, count or
-trace.
+"""Prefix sections are built once per count, and neither sharing them,
+growing frames as variables appear, nor reading backward congruences off the
+sections' pair closures changes a generated relation, count or trace.
 
 The count-and-trace digests were recorded with a fresh section cache per
 pinned add_constraint, pair closures per section and sections past a
-constraint's scope, and frames over all n variables from the start. The
-relation digests (every tuple of D^n that member accepts) were recorded with
-those frames too. The frame-dump digests were re-recorded once build_frame
-grew its frames as variables appear: the rows changed, the relations they
-generate did not.
+constraint's scope, and frames over all n variables from the start; they
+held unchanged when congruences stopped pinning a frame per backward block
+(one add_constraint call each) and add_constraint closed each constraint's
+scope once. The relation digests (every tuple of D^n that member accepts)
+were recorded with those frames too. The frame-dump digests were re-recorded
+once build_frame grew its frames as variables appear: the rows changed, the
+relations they generate did not.
 """
 
 import hashlib
@@ -119,7 +121,19 @@ def test_one_count_builds_each_section_once(monkeypatch):
     st = xor3_structure()
     n = 20
     inst = Instance(n, [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)])
-    assert count(st, find_maltsev(st), inst) == 4
-    # Per-call caches make 23,849 closures and 2,002 sections here, and
-    # frames over all n variables from the start 9,030 closures.
-    assert calls == {"closure_project": 6163, "_fix_first": 597}
+    phi = find_maltsev(st)
+    assert count(st, phi, inst) == 4
+    # Per-call caches make 23,849 closures and 2,002 sections here, frames
+    # over all n variables from the start 9,030 closures, and a pinned
+    # add_constraint per backward block with a closure per scope position
+    # 6,163 closures and 597 sections.
+    assert calls == {"closure_project": 4813, "_fix_first": 595}
+    # count_frame pins no frame: it adds no constraint
+    frame = build_frame(st, phi, inst)
+    calls["add_constraint"] = 0
+    pin = counted("add_constraint", frames.add_constraint)
+    monkeypatch.setattr(frames, "add_constraint", pin)
+    # a counting module that imports add_constraint calls its own binding
+    monkeypatch.setattr(counting, "add_constraint", pin, raising=False)
+    assert counting.count_frame(frame, phi) == 4
+    assert calls["add_constraint"] == 0
