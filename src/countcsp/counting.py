@@ -29,6 +29,7 @@ from .maltsev import MaltsevOp
 # module, so they stay bound in it.
 from .oracle import balance_matrix, enumerate_solutions  # noqa: F401
 from .relations import (
+    BlockDecomposition,
     CongruencePair,
     CountMatrix,
     Instance,
@@ -78,14 +79,7 @@ def _pair_support(frame: Frame, phi: MaltsevOp, i: int, j: int) -> dict:
     return {(t[i], t[j]): t for t in closure_project(frame.rows, phi, (i, j))}
 
 
-def congruences(
-    frame: Frame,
-    phi: MaltsevOp,
-    i: int,
-    j: int,
-    sections: Optional[SectionCache] = None,
-    support: Optional[dict] = None,
-) -> CongruencePair:
+def congruences(frame: Frame, phi: MaltsevOp, i: int, j: int) -> CongruencePair:
     """Both coordinate-pair congruences of the generated relation, without
     enumerating it.
 
@@ -100,21 +94,19 @@ def congruences(
     values at 0 of the section at t[:i] that reach a at position j - i.
     Support blocks are complete bipartite, so every block row has such a t,
     and distinct blocks contribute disjoint classes.
-
-    `sections` lets callers doing many pairs over one frame share one
-    SectionCache (ValueError if it belongs to another frame or operation);
-    `support` is this pair's _pair_support when the caller has it already.
     """
-    n = frame.arity
-    if not 1 <= i < j <= n - 1:
+    if not 1 <= i < j <= frame.arity - 1:
         raise ValueError("need 1 <= i < j <= arity-1")
-    if sections is None:
-        sections = SectionCache(frame, phi)
-    else:
-        sections.check(frame, phi)
-    if support is None:
-        support = _pair_support(frame, phi, i, j)
+    support = _pair_support(frame, phi, i, j)
+    return _congruences(SectionCache(frame, phi), i, j, support, _bipartite_blocks(support))
 
+
+def _congruences(
+    sections: SectionCache, i: int, j: int, support: dict, blocks: BlockDecomposition
+) -> CongruencePair:
+    """congruences for the frame of `sections`, whose sections it reads and
+    fills; `support` is the (i, j) _pair_support and `blocks` its blocks."""
+    frame = sections.frame
     forward_classes: list = []
     covered: set = set()
     for b in frame.projection(j):
@@ -126,7 +118,7 @@ def congruences(
         covered.update(cls)
 
     backward_classes: list = []
-    for block_rows, block_cols in _bipartite_blocks(support).blocks:
+    for block_rows, block_cols in blocks:
         a = min(block_cols)
         covered = set()
         for x in sorted(block_rows):
@@ -166,23 +158,25 @@ def count_frame(
     if n == 1:
         return len(frame.projection(0))
 
+    sections = SectionCache(frame, phi)
     counts: dict = {}
+    # the base stages read the (0, j) closures that the root sections share
+    root = sections.pairs(())
     for j in range(1, n):
-        support = _pair_support(frame, phi, 0, j)
         vals: dict = {}
-        for _, y in support:
-            vals[y] = vals.get(y, 0) + 1
+        for ends in root[j].values():
+            for y in ends:
+                vals[y] = vals.get(y, 0) + 1
         counts[(0, j)] = vals
         if trace is not None:
-            trace.append(
-                CountStep(0, j, frozenset(support), None, None, PrefixCounts(0, j, dict(vals)))
-            )
+            support = frozenset((x, y) for x, ends in root[j].items() for y in ends)
+            trace.append(CountStep(0, j, support, None, None, PrefixCounts(0, j, dict(vals))))
 
-    sections = SectionCache(frame, phi)
     for i in range(1, n - 1):
         for j in range(i + 1, n):
             support = _pair_support(frame, phi, i, j)
-            cong = congruences(frame, phi, i, j, sections=sections, support=support)
+            blocks = _bipartite_blocks(support)
+            cong = _congruences(sections, i, j, support, blocks)
             row_rep = {x: cong.backward.representative(x) for x in frame.projection(i)}
             col_rep = {y: cong.forward.representative(y) for y in frame.projection(j)}
             row_counts = counts[(i - 1, i)]
@@ -197,11 +191,19 @@ def count_frame(
                             )
             row_totals = {r: row_counts[r] for r in set(row_rep.values())}
             col_totals = {c: col_counts[c] for c in set(col_rep.values())}
-            quotient_support = {(row_rep[x], col_rep[y]) for (x, y) in support}
-            try:
-                quotient = reconstruct_rank_one(
-                    _bipartite_blocks(quotient_support), row_totals, col_totals
+            # Every forward and backward class lies inside one support block,
+            # and a vertex map keeps a block connected, so the blocks mapped
+            # to class representatives are the quotient support's blocks; they
+            # stay in least-row order because each representative is its
+            # class's least element.
+            quotient_blocks = BlockDecomposition(
+                tuple(
+                    (frozenset(row_rep[x] for x in rows), frozenset(col_rep[y] for y in cols))
+                    for rows, cols in blocks
                 )
+            )
+            try:
+                quotient = reconstruct_rank_one(quotient_blocks, row_totals, col_totals)
             except ReconstructionError as e:
                 raise NotBalancedError(
                     "reconstruction failed at pair (%d, %d): %s" % (i, j, e)

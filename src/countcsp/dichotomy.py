@@ -40,6 +40,10 @@ VERDICT_NOT_STRONGLY_RECTANGULAR = "NOT_STRONGLY_RECTANGULAR"
 VERDICT_TIMEOUT = "TIMEOUT"
 
 DEFAULT_SWEEP_NODES = 200_000
+# refute_balance tries this many default formulas, and skips a formula whose
+# brute-force enumeration would exceed 2**REFUTATION_CAP_BITS assignments
+REFUTATION_FORMULAS = 64
+REFUTATION_CAP_BITS = 20
 
 
 class BudgetExhausted(RuntimeError):
@@ -323,21 +327,15 @@ def default_refutation_formulas(structure: RelationalStructure):
                 yield (desc, Instance(nv, ((n1, s1), (n2, s2))))
 
 
-def refute_balance(
-    structure: RelationalStructure,
-    formulas=None,
-    max_formulas: int = 64,
-    cap_bits: int = 20,
-) -> Optional[Refutation]:
+def refute_balance(structure: RelationalStructure) -> Optional[Refutation]:
     """Search small formulas for a pairwise count matrix that is not a
     rank-one block matrix. Finding one proves the language unbalanced;
     finding none proves nothing."""
-    if formulas is None:
-        formulas = default_refutation_formulas(structure)
-    for desc, inst in itertools.islice(formulas, max_formulas):
+    formulas = default_refutation_formulas(structure)
+    for desc, inst in itertools.islice(formulas, REFUTATION_FORMULAS):
         try:
             for i, j in itertools.combinations(range(inst.num_vars), 2):
-                m = balance_matrix(structure, inst, i, j, cap_bits=cap_bits)
+                m = balance_matrix(structure, inst, i, j, cap_bits=REFUTATION_CAP_BITS)
                 if m.total() and not is_rank_one_block(m):
                     return Refutation(desc, inst, (i, j), m)
         except CapExceededError:
@@ -365,8 +363,6 @@ class DichotomyVerdict:
 def decide_strong_balance(
     structure: RelationalStructure,
     max_nodes: int = DEFAULT_SWEEP_NODES,
-    max_formulas: int = 64,
-    cap_bits: int = 20,
 ) -> DichotomyVerdict:
     """Classify a language: BALANCED (counting is tractable),
     NOT_STRONGLY_RECTANGULAR or NOT_BALANCED (counting is as hard as any
@@ -377,7 +373,7 @@ def decide_strong_balance(
         return DichotomyVerdict(
             VERDICT_NOT_STRONGLY_RECTANGULAR, rectangularity_witness=violation
         )
-    refutation = refute_balance(structure, max_formulas=max_formulas, cap_bits=cap_bits)
+    refutation = refute_balance(structure)
     if refutation is not None:
         return DichotomyVerdict(VERDICT_NOT_BALANCED, maltsev=op, refutation=refutation)
     ctx = _PowerSearchContext(structure, 6)

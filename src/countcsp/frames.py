@@ -20,7 +20,7 @@ to a row index.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
 from .relations import Instance, Partition, Relation, partition_from_groups, project
@@ -31,9 +31,11 @@ class Frame:
 
     The empty frame (no rows) generates the empty relation; an arity-0 frame
     with one empty row represents the relation containing the empty tuple.
+    Frames are never mutated, so their shared-prefix groups are computed at
+    most once.
     """
 
-    __slots__ = ("arity", "rows", "witness")
+    __slots__ = ("arity", "rows", "witness", "_groups")
 
     def __init__(self, arity: int, rows: Sequence[tuple], witness: Mapping):
         if arity < 0:
@@ -53,6 +55,7 @@ class Frame:
         self.arity = arity
         self.rows = rows
         self.witness = witness
+        self._groups = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -72,21 +75,21 @@ class Frame:
     def prefix_groups(self) -> list:
         """For every position i, a dict from witness-row i-prefix to the
         values at i whose witnesses carry it, in witness-map order; one pass
-        over the witness map."""
-        groups: list = [{} for _ in range(self.arity)]
-        rows = self.rows
-        for (a, i), k in self.witness.items():
-            groups[i].setdefault(rows[k][:i], []).append(a)
-        return groups
+        over the witness map on the first call, kept for later ones."""
+        if self._groups is None:
+            groups: list = [{} for _ in range(self.arity)]
+            rows = self.rows
+            for (a, i), k in self.witness.items():
+                groups[i].setdefault(rows[k][:i], []).append(a)
+            self._groups = groups
+        return self._groups
 
     def position_classes(self, i: int) -> Partition:
         """Classes of the shared-prefix equivalence at position i, read off
         the witness map (equivalent values carry identical witness prefixes)."""
-        groups: dict = {}
-        for (a, p), k in self.witness.items():
-            if p == i:
-                groups.setdefault(self.rows[k][:i], []).append(a)
-        return Partition.from_classes(groups.values())
+        if not 0 <= i < self.arity:
+            raise ValueError("position out of range")
+        return Partition.from_classes(self.prefix_groups()[i].values())
 
     def __repr__(self) -> str:
         return "Frame(arity=%d, rows=%d)" % (self.arity, len(self.rows))
@@ -230,11 +233,31 @@ def _closure_tuples(rows: Iterable[tuple], phi: MaltsevOp, idx: tuple) -> list:
 
 def span(frame: Frame, phi: MaltsevOp) -> Relation:
     """Materialize the generated relation. Exponential in general; meant for
-    small frames, demos, and tests."""
+    small frames, demos, and tests.
+
+    Walks the witness map as member does, one position at a time, keeping
+    one tuple per distinct prefix: the extensions at i of a prefix carried by
+    a tuple t are the shared-prefix class of t[i], and one phi application
+    with the witnesses of t[i] and b swaps b in at i without disturbing the
+    prefix. That is one phi application per prefix, O(|R| n) in all. Like
+    member, it reads the relation off the witness map, so it relies on the
+    frame invariants; a value reached without a witness raises ValueError.
+    """
     if frame.arity < 1:
         raise ValueError("span needs positive arity")
-    rows = closure_project(frame.rows, phi, range(frame.arity))
-    return Relation(frame.arity, rows)
+    rows, w = frame.rows, frame.witness
+    level = [rows[w[(a, 0)]] for a in frame.projection(0)]
+    for i in range(1, frame.arity):
+        class_of = {a: cls for cls in frame.prefix_groups()[i].values() for a in cls}
+        nxt = []
+        for t in level:
+            if (t[i], i) not in w:
+                raise ValueError("no witness for value %r at position %d" % (t[i], i))
+            g = rows[w[(t[i], i)]]
+            for b in class_of[t[i]]:
+                nxt.append(t if b == t[i] else apply(phi, t, g, rows[w[(b, i)]]))
+        level = nxt
+    return Relation(frame.arity, level)
 
 
 def _insert_free(frame: Frame, p: int, q: int) -> Frame:
@@ -390,27 +413,26 @@ def shrink_to_small(frame: Frame, phi: MaltsevOp) -> Frame:
     return Frame(n, rows, witness)
 
 
-def _pair_index(frame: Frame, phi: MaltsevOp) -> tuple:
+def _pair_index(frame: Frame, phi: MaltsevOp) -> list:
     """What every section of one frame reads: per position i >= 1 the (0, i)
-    pair closure grouped as a -> {b: the tuple through (a, b)}, plus
-    frame.prefix_groups(). Sibling sections share one build."""
+    pair closure grouped as a -> {b: the tuple through (a, b)}. Sibling
+    sections share one build."""
     pairs: list = [{} for _ in range(frame.arity)]
     if frame.rows:
         for i in range(1, frame.arity):
             for t in closure_project(frame.rows, phi, (0, i)):
                 pairs[i].setdefault(t[0], {})[t[i]] = t
-    return pairs, frame.prefix_groups()
+    return pairs
 
 
-def _fix_first(frame: Frame, phi: MaltsevOp, a: int, index: Optional[tuple] = None) -> Frame:
+def _fix_first(frame: Frame, phi: MaltsevOp, a: int, pairs: list) -> Frame:
     """Frame for the section "first coordinate pinned to a", one arity lower.
 
-    For each later position, the pair closure with position 0 supplies one
-    tuple through (a, b) per reachable value b; a shared-prefix class either
-    meets the section wholly or not at all, and one phi application moves
-    each class witness onto the prefix of the class's in-section tuple.
-    `index` is the frame's _pair_index, built here when not given; callers
-    pinning several values of one frame pass one index to all of them.
+    For each later position, the pair closure with position 0 (`pairs`, the
+    frame's _pair_index) supplies one tuple through (a, b) per reachable
+    value b; a shared-prefix class either meets the section wholly or not at
+    all, and one phi application moves each class witness onto the prefix of
+    the class's in-section tuple.
     """
     n = frame.arity
     if n < 1:
@@ -419,7 +441,7 @@ def _fix_first(frame: Frame, phi: MaltsevOp, a: int, index: Optional[tuple] = No
         return empty_frame(n - 1)
     if n == 1:
         return Frame(0, ((),), {})
-    pairs, groups = index if index is not None else _pair_index(frame, phi)
+    groups = frame.prefix_groups()
     rows: list = []
     seen: dict = {}
     witness: dict = {}
@@ -449,14 +471,12 @@ def _fix_first(frame: Frame, phi: MaltsevOp, a: int, index: Optional[tuple] = No
 def fix_prefix(frame: Frame, phi: MaltsevOp, values: Sequence[int]) -> Frame:
     """Frame for the relation with its first len(values) coordinates pinned,
     over the remaining coordinates. Empty iff no extension exists."""
-    g = frame
-    for a in values:
-        g = _fix_first(g, phi, a)
-    return g
+    return SectionCache(frame, phi).get(values)
 
 
 class SectionCache:
-    """Memoized prefix sections of one fixed frame.
+    """Memoized prefix sections of one fixed frame: the only way a section
+    is pinned.
 
     Counting and congruence computations pin many nested prefixes of the
     same frame; caching by prefix builds each section once, and caching the
@@ -470,13 +490,13 @@ class SectionCache:
         self.frame = frame
         self.phi = phi
         self._cache: dict = {(): frame}
-        self._index: dict = {}
+        self._pairs: dict = {}
 
-    def _index_at(self, values: tuple, f: Frame) -> tuple:
-        index = self._index.get(values)
-        if index is None:
-            index = self._index[values] = _pair_index(f, self.phi)
-        return index
+    def _pairs_at(self, values: tuple, f: Frame) -> list:
+        pairs = self._pairs.get(values)
+        if pairs is None:
+            pairs = self._pairs[values] = _pair_index(f, self.phi)
+        return pairs
 
     def get(self, values: Sequence[int]) -> Frame:
         values = tuple(values)
@@ -486,7 +506,7 @@ class SectionCache:
             k -= 1
         f = cache[values[:k]]
         for m in range(k, len(values)):
-            f = _fix_first(f, self.phi, values[m], self._index_at(values[:m], f))
+            f = _fix_first(f, self.phi, values[m], self._pairs_at(values[:m], f))
             cache[values[:m + 1]] = f
         return f
 
@@ -496,13 +516,7 @@ class SectionCache:
         a -> {b: the tuple through (a, b)}. Memoized with the index that
         get's child sections read."""
         values = tuple(values)
-        return self._index_at(values, self.get(values))[0]
-
-    def check(self, frame: Frame, phi: MaltsevOp) -> None:
-        """Raise ValueError unless this cache holds sections of frame under
-        phi."""
-        if self.frame is not frame or self.phi is not phi:
-            raise ValueError("the section cache was built for another frame or operation")
+        return self._pairs_at(values, self.get(values))
 
 
 def collapse_scope(relation: Relation, scope: Sequence[int]):
@@ -535,13 +549,7 @@ def collapse_scope(relation: Relation, scope: Sequence[int]):
     return Relation(len(distinct), kept), tuple(distinct)
 
 
-def add_constraint(
-    frame: Frame,
-    phi: MaltsevOp,
-    relation: Relation,
-    scope,
-    sections: Optional[SectionCache] = None,
-) -> Frame:
+def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> Frame:
     """Small frame for (generated relation) AND relation(scope variables).
 
     Per position i: project the current relation onto scope + {i} and filter
@@ -554,24 +562,17 @@ def add_constraint(
     satisfies the constraint, so the class is the frame's own and its
     witnesses come from the frame's witness rows without a section. Repeats
     until every surviving value has a witness, then shrinks.
-
-    `sections` is a SectionCache of this frame and phi to share with other
-    callers (ValueError if it belongs to another frame or operation).
     """
     n = frame.arity
     relation, scope = collapse_scope(relation, scope)
     for v in scope:
         if not 0 <= v < n:
             raise ValueError("scope variable %d out of range" % v)
-    if sections is not None:
-        sections.check(frame, phi)
     if frame.is_empty() or not relation.tuples:
         return empty_frame(n)
-    if sections is None:
-        sections = SectionCache(frame, phi)
+    sections = SectionCache(frame, phi)
     scope_set = set(scope)
     last = max(scope)
-    groups = frame.prefix_groups() if last < n - 1 else None
 
     def satisfying(J: list) -> list:
         return sorted(
@@ -595,7 +596,7 @@ def add_constraint(
             found: dict = {}
             if i > last:
                 g = frame.witness_row(t[i], i)
-                for members in groups[i].values():
+                for members in frame.prefix_groups()[i].values():
                     if t[i] in members:
                         for b in members:
                             found[b] = apply(phi, t, g, frame.witness_row(b, i))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from countcsp import (
+    Frame,
     Instance,
     Relation,
     SectionCache,
@@ -47,6 +48,16 @@ def test_initial_frame_shape():
     assert f.projection(2) == (0, 1, 2)
     assert f.witness_row(2, 3) == (0, 0, 0, 2)
     assert span(f, OP3) == Relation(4, itertools.product(range(3), repeat=4))
+
+
+def test_span_and_position_classes_raise_typed_errors():
+    # the row (1, 1) reaches value 1 at position 1, which has no witness
+    f = Frame(2, [(0, 0), (1, 1)], {(0, 0): 0, (1, 0): 1, (0, 1): 0})
+    with pytest.raises(ValueError, match="no witness"):
+        span(f, MIN2)
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="position out of range"):
+            f.position_classes(i)
 
 
 def test_closure_project_matches_naive_fixpoint():
@@ -172,17 +183,6 @@ def test_section_cache_pins_long_prefixes_without_recursion():
         sys.setrecursionlimit(limit)
     assert dump(sec) == dump(fix_prefix(f, MIN2, prefix))
     assert sec.arity == 15 and len(sec.rows) == 16
-
-
-def test_section_cache_of_another_frame_is_rejected():
-    f = build_frame(XOR3, MIN2, Instance(3, [("XOR3", (0, 1, 2))]))
-    pin = Relation(1, [(1,)])
-    with pytest.raises(ValueError):
-        add_constraint(f, MIN2, pin, (2,), sections=SectionCache(initial_frame(3, 2), MIN2))
-    with pytest.raises(ValueError):
-        add_constraint(f, MIN2, pin, (2,), sections=SectionCache(f, find_maltsev(XOR3)))
-    shared = add_constraint(f, MIN2, pin, (2,), sections=SectionCache(f, MIN2))
-    assert dump(shared) == dump(add_constraint(f, MIN2, pin, (2,)))
 
 
 def test_collapse_scope():

@@ -1,5 +1,5 @@
 """Package-level checks: the public name list, the import layering between
-modules, and the demos running end to end."""
+modules, unused imports, and the demos running end to end."""
 
 import ast
 import os
@@ -14,6 +14,11 @@ import countcsp
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+MODULES = sorted(p.stem for p in (SRC / "countcsp").glob("*.py"))
+
+# counting binds two oracle names that the benchmark's tracer test reads
+# through it, and calls neither.
+PASSTHROUGH = {"balance_matrix", "enumerate_solutions"}
 
 
 def test_all_lists_api_names_only():
@@ -44,12 +49,35 @@ def test_the_oracle_depends_on_relations_only():
     assert set(_package_imports("oracle")) <= {"relations"}
     for module in ("frames", "maltsev", "relations"):
         assert "oracle" not in _package_imports(module), module
-    # counting binds two oracle names that the benchmark's tracer test reads
-    # through it, and calls neither.
-    passthrough = {"balance_matrix", "enumerate_solutions"}
-    assert _package_imports("counting").get("oracle", set()) <= passthrough
+    assert _package_imports("counting").get("oracle", set()) <= PASSTHROUGH
     used = {n.id for n in ast.walk(_tree("counting")) if isinstance(n, ast.Name)}
-    assert not passthrough & used
+    assert not PASSTHROUGH & used
+
+
+def _unused_imports(module: str) -> set:
+    """Names that src/countcsp/<module>.py binds by an import (future
+    features aside) and never reads, neither as a name nor through
+    __all__."""
+    bound: set = set()
+    used: set = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(e.value for e in node.value.elts)
+    return bound - used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {m: _unused_imports(m) for m in MODULES}
+    unused["counting"] -= PASSTHROUGH
+    assert {m: names for m, names in unused.items() if names} == {}
 
 
 def test_counting_pins_no_frames():

@@ -18,7 +18,6 @@ from countcsp import (
     SectionCache,
     add_constraint,
     build_frame,
-    congruences,
     count,
     dump,
     find_maltsev,
@@ -30,7 +29,7 @@ from countcsp import (
     project,
     span,
 )
-from countcsp.counting import _pair_support
+from countcsp.counting import _congruences, _pair_support
 from countcsp.dichotomy import _PowerSearchContext
 from countcsp.fixtures import (
     constants_structure,
@@ -148,17 +147,19 @@ def test_shared_sections_equal_fresh_ones(k, seed):
     frame = build_frame(structure, phi, inst)
     assume(frame.arity >= 2 and not frame.is_empty())
     # one index for every first-coordinate section, values outside the
-    # projection included
-    index = _pair_index(frame, phi)
+    # projection included, against a fresh index per section
+    pairs = _pair_index(frame, phi)
     for a in range(structure.domain_size):
-        assert dump(_fix_first(frame, phi, a, index)) == dump(_fix_first(frame, phi, a))
-    # pinned frames drawn through one cache, which fills as they go
+        fresh = _fix_first(frame, phi, a, _pair_index(frame, phi))
+        assert dump(_fix_first(frame, phi, a, pairs)) == dump(fresh)
+    # nested sections drawn through one cache, which fills as they go,
+    # against sections pinned one coordinate at a time with fresh indexes
     shared = SectionCache(frame, phi)
-    for j in range(frame.arity):
-        for a in frame.projection(j):
-            pin = Relation(1, [(a,)])
-            got = add_constraint(frame, phi, pin, (j,), sections=shared)
-            assert dump(got) == dump(add_constraint(frame, phi, pin, (j,)))
+    for prefix in itertools.product(range(structure.domain_size), repeat=2):
+        fresh = frame
+        for a in prefix:
+            fresh = _fix_first(fresh, phi, a, _pair_index(fresh, phi))
+        assert dump(shared.get(prefix)) == dump(fresh)
 
 
 def pinned_backward(frame, phi, i: int, j: int, support) -> Partition:
@@ -185,7 +186,7 @@ def test_backward_classes_from_shared_sections(k, seed):
     for i in range(1, frame.arity - 1):
         for j in range(i + 1, frame.arity):
             support = _pair_support(frame, phi, i, j)
-            got = congruences(frame, phi, i, j, sections=shared, support=support).backward
+            got = _congruences(shared, i, j, support, _bipartite_blocks(support)).backward
             assert got == pinned_backward(frame, phi, i, j, support)
             assert got == oracle_congruence_pair(solutions, i, j).backward
 

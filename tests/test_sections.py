@@ -6,11 +6,14 @@ The count-and-trace digests were recorded with a fresh section cache per
 pinned add_constraint, pair closures per section and sections past a
 constraint's scope, and frames over all n variables from the start; they
 held unchanged when congruences stopped pinning a frame per backward block
-(one add_constraint call each) and add_constraint closed each constraint's
-scope once. The relation digests (every tuple of D^n that member accepts)
-were recorded with those frames too. The frame-dump digests were re-recorded
-once build_frame grew its frames as variables appear: the rows changed, the
-relations they generate did not.
+(one add_constraint call each), when add_constraint closed each
+constraint's scope once, and when every section came to be pinned through a
+SectionCache, count_frame read its base stages off the root pair closures
+and the quotient blocks came from the support blocks. The relation digests
+(every tuple of D^n that member accepts) were recorded with those frames
+too. The frame-dump digests were re-recorded once build_frame grew its
+frames as variables appear: the rows changed, the relations they generate
+did not.
 """
 
 import hashlib
@@ -124,10 +127,11 @@ def test_one_count_builds_each_section_once(monkeypatch):
     phi = find_maltsev(st)
     assert count(st, phi, inst) == 4
     # Per-call caches make 23,849 closures and 2,002 sections here, frames
-    # over all n variables from the start 9,030 closures, and a pinned
+    # over all n variables from the start 9,030 closures, a pinned
     # add_constraint per backward block with a closure per scope position
-    # 6,163 closures and 597 sections.
-    assert calls == {"closure_project": 4813, "_fix_first": 595}
+    # 6,163 closures and 597 sections, and base stages that close their own
+    # (0, j) pairs 4,813 closures.
+    assert calls == {"closure_project": 4794, "_fix_first": 595}
     # count_frame pins no frame: it adds no constraint
     frame = build_frame(st, phi, inst)
     calls["add_constraint"] = 0
