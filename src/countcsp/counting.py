@@ -83,57 +83,43 @@ def congruences(frame: Frame, phi: MaltsevOp, i: int, j: int) -> CongruencePair:
     """Both coordinate-pair congruences of the generated relation, without
     enumerating it.
 
-    Forward classes come from prefix sections: the class of value b at j is
-    the section of b's witness prefix, projected back to position j.
-
-    Backward classes come from the same sections' pair closures. Let a be
-    one column of a support block and R_a the relation with a at j; R_a is
-    phi-closed, so its shared-prefix classes at i are rectangular, and the
-    class of a block row x is the set of x' for which t[:i] + (x',) extends
-    in R_a, where t is the support tuple through (x, a). Those x' are the
-    values at 0 of the section at t[:i] that reach a at position j - i.
-    Support blocks are complete bipartite, so every block row has such a t,
-    and distinct blocks contribute disjoint classes.
+    Both are read off one section's (i, j) pair closure. For a support
+    tuple t through (x, y), the (i, j) projection of the section at t[:i]
+    is a union of complete bipartite blocks. The forward class of y is the
+    row of x: by rectangularity the class of y is the set of values at j
+    that extend any compatible (i+1)-prefix, and t[:i+1] is one. The
+    backward class of x is the column of y. Any column gives the same
+    classes: if u = p.x..y, v = p.x'..y and s = p'.x..y' lie in R, then so
+    does phi(v, u, s) = p'.x'..y', so x' shares every i-prefix and j-value
+    that x has.
     """
     if not 1 <= i < j <= frame.arity - 1:
         raise ValueError("need 1 <= i < j <= arity-1")
-    support = _pair_support(frame, phi, i, j)
-    return _congruences(SectionCache(frame, phi), i, j, support, _bipartite_blocks(support))
+    return _congruences(SectionCache(frame, phi), i, j, _pair_support(frame, phi, i, j))
 
 
-def _congruences(
-    sections: SectionCache, i: int, j: int, support: dict, blocks: BlockDecomposition
-) -> CongruencePair:
-    """congruences for the frame of `sections`, whose sections it reads and
-    fills; `support` is the (i, j) _pair_support and `blocks` its blocks."""
-    frame = sections.frame
-    forward_classes: list = []
-    covered: set = set()
-    for b in frame.projection(j):
-        if b in covered:
+def _congruences(sections: SectionCache, i: int, j: int, support: dict) -> CongruencePair:
+    """congruences for the frame of `sections`, whose pair closures it reads
+    and fills; `support` is the (i, j) _pair_support. One section per
+    support pair whose x or y is not yet in a class."""
+    forward: list = []
+    backward: list = []
+    rows: set = set()
+    cols: set = set()
+    for (x, y), t in support.items():
+        if x in rows and y in cols:
             continue
-        prefix = frame.witness_row(b, j)[: i + 1]
-        cls = sections.get(prefix).projection(j - i - 1)
-        forward_classes.append(cls)
-        covered.update(cls)
-
-    backward_classes: list = []
-    for block_rows, block_cols in blocks:
-        a = min(block_cols)
-        covered = set()
-        for x in sorted(block_rows):
-            if x in covered:
-                continue
-            reach = sections.pairs(support[(x, a)][:i])[j - i]
-            cls = [x2 for x2, ends in reach.items() if a in ends]
-            backward_classes.append(cls)
-            covered.update(cls)
-
+        block = sections.pairs(t[:i])[j - i]
+        if y not in cols:
+            cls = block[x]
+            forward.append(cls)
+            cols.update(cls)
+        if x not in rows:
+            cls = [x2 for x2, ends in block.items() if y in ends]
+            backward.append(cls)
+            rows.update(cls)
     return CongruencePair(
-        i,
-        j,
-        Partition.from_classes(forward_classes),
-        Partition.from_classes(backward_classes),
+        i, j, Partition.from_classes(forward), Partition.from_classes(backward)
     )
 
 
@@ -176,9 +162,9 @@ def count_frame(
         for j in range(i + 1, n):
             support = _pair_support(frame, phi, i, j)
             blocks = _bipartite_blocks(support)
-            cong = _congruences(sections, i, j, support, blocks)
-            row_rep = {x: cong.backward.representative(x) for x in frame.projection(i)}
-            col_rep = {y: cong.forward.representative(y) for y in frame.projection(j)}
+            cong = _congruences(sections, i, j, support)
+            row_rep = {x: min(c) for c in cong.backward for x in c}
+            col_rep = {y: min(c) for c in cong.forward for y in c}
             row_counts = counts[(i - 1, i)]
             col_counts = counts[(i - 1, j)]
             if verify:

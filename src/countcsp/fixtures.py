@@ -65,16 +65,13 @@ def random_instance(
     rng: random.Random,
     max_vars: int = 8,
     max_constraints: int = 6,
-    allow_builtins: bool = True,
 ) -> Instance:
-    """Seeded random instance over a structure's relations (plus equality
-    and constants when allowed). Scopes may repeat variables."""
+    """Seeded random instance over a structure's relations, equality and one
+    constant. Scopes may repeat variables."""
     n = rng.randint(2, max_vars)
-    names = sorted(structure.relations)
-    pool = list(names)
-    if allow_builtins:
-        pool.append("EQ")
-        pool.append("CONST_%d" % rng.randrange(structure.domain_size))
+    pool = sorted(structure.relations)
+    pool.append("EQ")
+    pool.append("CONST_%d" % rng.randrange(structure.domain_size))
     constraints = []
     for _ in range(rng.randint(1, max_constraints)):
         name = rng.choice(pool)

@@ -482,8 +482,8 @@ class SectionCache:
     same frame; caching by prefix builds each section once, and caching the
     pair index of each cached section lets all of its child sections share
     one set of pair closures. One count shares one cache among all of its
-    congruences: the forward side reads sections (get), the backward side
-    reads their pair closures (pairs).
+    congruences, which read both classes off the sections' pair closures
+    (pairs); add_constraint reads the sections themselves (get).
     """
 
     def __init__(self, frame: Frame, phi: MaltsevOp):
@@ -636,7 +636,7 @@ def add_constraint_split(frame: Frame, phi: MaltsevOp, relation: Relation, scope
     return g
 
 
-def build_frame(structure, phi: MaltsevOp, instance: Instance, split: bool = False) -> Frame:
+def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
     """Small frame for the instance's solution set, built one constraint at
     a time in file order.
 
@@ -646,11 +646,15 @@ def build_frame(structure, phi: MaltsevOp, instance: Instance, split: bool = Fal
     position when a constraint first mentions it. Each constraint is added
     with its scope renumbered to positions in that list, so no closure or
     section runs over a variable no constraint has reached yet. Variables
-    still untouched at the end are inserted the same way.
+    still untouched at the end are inserted the same way. An operation over
+    a domain of another size raises ValueError.
     """
     n = instance.num_vars
     q = structure.domain_size
-    add = add_constraint_split if split else add_constraint
+    if phi.q != q:
+        raise ValueError(
+            "operation is over %d elements, the structure over %d" % (phi.q, q)
+        )
     touched: list = []
     f = Frame(0, ((),), {})
     for name, scope in instance.constraints:
@@ -661,7 +665,7 @@ def build_frame(structure, phi: MaltsevOp, instance: Instance, split: bool = Fal
                 touched.insert(p, v)
                 f = _insert_free(f, p, q)
         pos = {v: k for k, v in enumerate(touched)}
-        f = add(f, phi, relation, tuple(pos[v] for v in scope))
+        f = add_constraint(f, phi, relation, tuple(pos[v] for v in scope))
         if f.is_empty():
             return empty_frame(n)
     # all variables below v are in touched by now, so v belongs at position v

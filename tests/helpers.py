@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Nothing here imports the fast-path internals beyond public data types; the
-point is to recompute expected values a second way.
+point is to recompute expected values a second way. The one exception is
+split_frame, a second constraint-addition path that build_frame's frames are
+compared against.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from countcsp import CountMatrix, Relation
+from countcsp import CountMatrix, Relation, add_constraint_split, initial_frame
 
 
 def fraction_rank(rows) -> int:
@@ -145,3 +147,13 @@ def is_power_automorphism(structure, k: int, mapping) -> bool:
                 if tuple(s[d] for s in digs) not in rel:
                     return False
     return True
+
+
+def split_frame(structure, phi, instance):
+    """Frame of the instance's solution set by a second path: a frame over
+    all of its variables from the start, each constraint added through its
+    chain of prefix projections (add_constraint_split)."""
+    f = initial_frame(instance.num_vars, structure.domain_size)
+    for name, scope in instance.constraints:
+        f = add_constraint_split(f, phi, structure.relation(name), scope)
+    return f

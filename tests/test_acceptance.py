@@ -378,7 +378,7 @@ def test_c8_constraint_addition_paths_agree(capsys):
         for label, st, phi, inst, frame, sols in _frame_battery():
             if sols is None:
                 continue
-            other = build_frame(st, phi, inst, split=True)
+            other = helpers.split_frame(st, phi, inst)
             assert frame.is_empty() == other.is_empty(), (label, inst)
             if not frame.is_empty():
                 # mutual row membership: each closure contains the other's

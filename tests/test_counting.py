@@ -57,6 +57,20 @@ def test_unknown_relation_name_is_a_typed_error(name):
         assert str(exc.value) == "no relation named %r in the structure" % name
 
 
+def test_operation_over_another_domain_is_rejected():
+    # q=2 operation on a q=3 structure (once an IndexError deep in a
+    # closure) and q=3 on q=2 (once a frame, then overlapping classes)
+    diag3 = diagonal_structure(3)
+    cases = [
+        (diag3, MIN2, Instance(3, [("DIAG", (0, 1, 2))])),
+        (XOR3, find_maltsev(diag3), Instance(3, [("XOR3", (0, 1, 2))])),
+    ]
+    for st, phi, inst in cases:
+        for run in (lambda: build_frame(st, phi, inst), lambda: count(st, phi, inst)):
+            with pytest.raises(ValueError, match="operation is over %d elements" % phi.q):
+                run()
+
+
 def test_count_single_constraint():
     inst = Instance(3, [("XOR3", (0, 1, 2))])
     assert count(XOR3, MIN2, inst) == 4

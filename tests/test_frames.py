@@ -11,7 +11,6 @@ from countcsp import (
     Relation,
     SectionCache,
     add_constraint,
-    add_constraint_split,
     build_frame,
     closure_project,
     collapse_scope,
@@ -32,7 +31,7 @@ from countcsp.fixtures import (
 )
 from countcsp.frames import _closure_tuples
 from countcsp.maltsev import POWER_TABLE_MAX_CODES
-from helpers import brute_solutions, naive_maltsev_closure
+from helpers import brute_solutions, naive_maltsev_closure, split_frame
 
 XOR3 = xor3_structure()
 MIN2 = find_maltsev(XOR3)
@@ -243,8 +242,8 @@ def test_split_equals_direct():
     for _ in range(40):
         st, op = structures[rng.randrange(2)]
         inst = random_instance(st, rng, max_vars=5, max_constraints=3)
-        direct = build_frame(st, op, inst, split=False)
-        split = build_frame(st, op, inst, split=True)
+        direct = build_frame(st, op, inst)
+        split = split_frame(st, op, inst)
         assert direct.is_empty() == split.is_empty()
         if not direct.is_empty():
             assert span(direct, op) == span(split, op)
@@ -269,8 +268,7 @@ def test_build_frame_handles_any_variable_order():
         inst = Instance(7, cons)
         assert inst.constrained_variables() == (0, 2, 3, 4, 5)
         sols = brute_solutions(st, inst)
-        for split in (False, True):
-            f = build_frame(st, op, inst, split=split)
+        for f in (build_frame(st, op, inst), split_frame(st, op, inst)):
             assert f.arity == 7
             assert f.is_empty() == (not sols)
             assert _generated(f, op, st.domain_size) == sols

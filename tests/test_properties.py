@@ -175,7 +175,7 @@ def pinned_backward(frame, phi, i: int, j: int, support) -> Partition:
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1))
-def test_backward_classes_from_shared_sections(k, seed):
+def test_classes_from_shared_sections(k, seed):
     structure, phi = SECTION_LANGUAGES[k]
     inst = random_instance(structure, random.Random(seed), max_vars=6, max_constraints=4)
     frame = build_frame(structure, phi, inst)
@@ -186,9 +186,11 @@ def test_backward_classes_from_shared_sections(k, seed):
     for i in range(1, frame.arity - 1):
         for j in range(i + 1, frame.arity):
             support = _pair_support(frame, phi, i, j)
-            got = _congruences(shared, i, j, support, _bipartite_blocks(support)).backward
-            assert got == pinned_backward(frame, phi, i, j, support)
-            assert got == oracle_congruence_pair(solutions, i, j).backward
+            got = _congruences(shared, i, j, support)
+            want = oracle_congruence_pair(solutions, i, j)
+            assert got.forward == want.forward
+            assert got.backward == want.backward
+            assert got.backward == pinned_backward(frame, phi, i, j, support)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,5 @@
 """Prefix sections are built once per count, and neither sharing them,
-growing frames as variables appear, nor reading backward congruences off the
+growing frames as variables appear, nor reading congruences off the
 sections' pair closures changes a generated relation, count or trace.
 
 The count-and-trace digests were recorded with a fresh section cache per
@@ -7,13 +7,14 @@ pinned add_constraint, pair closures per section and sections past a
 constraint's scope, and frames over all n variables from the start; they
 held unchanged when congruences stopped pinning a frame per backward block
 (one add_constraint call each), when add_constraint closed each
-constraint's scope once, and when every section came to be pinned through a
+constraint's scope once, when every section came to be pinned through a
 SectionCache, count_frame read its base stages off the root pair closures
-and the quotient blocks came from the support blocks. The relation digests
-(every tuple of D^n that member accepts) were recorded with those frames
-too. The frame-dump digests were re-recorded once build_frame grew its
-frames as variables appear: the rows changed, the relations they generate
-did not.
+and the quotient blocks came from the support blocks, and when both
+congruences came to be read off one section's (i, j) pair closure. The
+relation digests (every tuple of D^n that member accepts) were recorded
+with those frames too. The frame-dump digests were re-recorded once
+build_frame grew its frames as variables appear: the rows changed, the
+relations they generate did not.
 """
 
 import hashlib
@@ -108,7 +109,7 @@ def test_frames_counts_and_traces_are_pinned(name):
 
 
 def test_one_count_builds_each_section_once(monkeypatch):
-    calls = {"closure_project": 0, "_fix_first": 0}
+    calls = {"closure_project": 0, "_fix_first": 0, "projection": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -121,6 +122,7 @@ def test_one_count_builds_each_section_once(monkeypatch):
     monkeypatch.setattr(frames, "closure_project", closure)
     monkeypatch.setattr(counting, "closure_project", closure)
     monkeypatch.setattr(frames, "_fix_first", counted("_fix_first", frames._fix_first))
+    monkeypatch.setattr(frames.Frame, "projection", counted("projection", frames.Frame.projection))
     st = xor3_structure()
     n = 20
     inst = Instance(n, [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)])
@@ -130,14 +132,18 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # over all n variables from the start 9,030 closures, a pinned
     # add_constraint per backward block with a closure per scope position
     # 6,163 closures and 597 sections, and base stages that close their own
-    # (0, j) pairs 4,813 closures.
-    assert calls == {"closure_project": 4794, "_fix_first": 595}
-    # count_frame pins no frame: it adds no constraint
+    # (0, j) pairs 4,813 closures; forward classes from pinned (i+1)-prefix
+    # sections and backward ones from each support block's least column
+    # 4,794 closures and 595 sections.
+    assert calls == {"closure_project": 4644, "_fix_first": 578, "projection": 0}
+    # count_frame alone reads both classes off one section's pair closure
+    # (the two readings above made 835 closures, 70 sections and 855
+    # projection scans), and it pins no frame: it adds no constraint
     frame = build_frame(st, phi, inst)
-    calls["add_constraint"] = 0
+    calls.update(dict.fromkeys(calls, 0), add_constraint=0)
     pin = counted("add_constraint", frames.add_constraint)
     monkeypatch.setattr(frames, "add_constraint", pin)
     # a counting module that imports add_constraint calls its own binding
     monkeypatch.setattr(counting, "add_constraint", pin, raising=False)
     assert counting.count_frame(frame, phi) == 4
-    assert calls["add_constraint"] == 0
+    assert calls == {"closure_project": 685, "_fix_first": 53, "projection": 0, "add_constraint": 0}
