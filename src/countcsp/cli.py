@@ -16,8 +16,9 @@ Python API underneath is 0-based. The names EQ and CONST_<a> are reserved
 for the built-in equality and constant relations.
 
 Exit codes: 0 success / SAT / FP, 1 UNSAT / #P-complete / failed check,
-2 analysis timeout, 64 unreadable or malformed input, 65 refused
-precondition. Results go to stdout, diagnostics to stderr.
+2 analysis timeout, 64 unreadable or malformed input or a negative
+--max-nodes, 65 refused precondition. Results go to stdout, diagnostics
+to stderr.
 """
 
 from __future__ import annotations
@@ -380,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "max_nodes", 0) < 0:
+            raise CliParseError("--max-nodes must be non-negative, got %d" % args.max_nodes)
         return args.func(args)
     except CliParseError as e:
         print("error: %s" % e, file=sys.stderr)

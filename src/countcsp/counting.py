@@ -222,13 +222,12 @@ def count(
     """Number of solutions of the instance, via frames and reconstruction.
 
     Variables mentioned in no constraint contribute a factor q each and are
-    stripped before the frame is built.
+    stripped before the frame is built; with none left, the frame is the
+    arity-0 one, still checked against phi like any other.
     """
     q = structure.domain_size
     used = instance.constrained_variables()
     free = instance.num_vars - len(used)
-    if not used:
-        return q ** instance.num_vars
     remap = {v: k for k, v in enumerate(used)}
     core = Instance(
         len(used),

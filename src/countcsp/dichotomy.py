@@ -16,12 +16,17 @@ Power-structure elements are integers encoding base-q digit strings
 The sweep grows its search order only as deep as the search reaches, so
 power tuples are enumerated only through elements it visits, and checks a
 candidate image against a tuple with one AND of packed per-digit masks.
+That test factorises over digits, so an element's closed checks first
+narrow the values each digit of its image may take, and only the product
+of those values is tried when it is smaller than the element's class.
+Each check is built once per context, when its tuple is first found
+closed, and shared by every quadruple's search.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -51,11 +56,14 @@ class BudgetExhausted(RuntimeError):
 
 
 class SearchBudget:
-    """Deterministic work cap, counted in assignment attempts."""
+    """Deterministic work cap, counted in assignment attempts. A budget of
+    0 allows none; a negative one is a ValueError."""
 
     __slots__ = ("max_nodes", "used")
 
     def __init__(self, max_nodes: int):
+        if max_nodes < 0:
+            raise ValueError("node budget must be non-negative, got %d" % max_nodes)
         self.max_nodes = max_nodes
         self.used = 0
 
@@ -92,6 +100,32 @@ def patterns(q: int, a: int, b: int, c: int, d: int) -> PatternTriple:
     )
 
 
+class _DigitValues(dict):
+    """Digit values one closed check allows at x, keyed by a digit block
+    of the check's AND of its other positions' masks: the block's bits are
+    the base tuples still possible at that digit, and the value is the
+    bitmask of the v such that one of them has v at each of x's positions.
+    Filled lazily, one block at a time."""
+
+    __slots__ = ("block", "shifts", "values")
+
+    def __init__(self, rel, at: tuple, k: int):
+        self.block = (1 << len(rel)) - 1
+        self.shifts = [d * len(rel) for d in range(k)]
+        # per base tuple: 1 << v if it has v at each of x's positions, else 0
+        self.values = [
+            1 << t[at[0]] if all(t[m] == t[at[0]] for m in at) else 0 for t in rel
+        ]
+
+    def __missing__(self, block: int) -> int:
+        mask = 0
+        for i, v in enumerate(self.values):
+            if block >> i & 1:
+                mask |= v
+        self[block] = mask
+        return mask
+
+
 class _PowerSearchContext:
     """Shared precomputation for automorphism searches over one power.
 
@@ -102,6 +136,11 @@ class _PowerSearchContext:
     AND of packed masks: masks[ri][m][e] has bit d*|R|+i set iff digit d of
     e equals R[i][m]. Base tuples are distinct, so each digit block keeps at
     most one bit, and the image lies in R^k iff k bits survive.
+
+    The test factorises over digits, so a closed check also narrows the
+    images of x digit by digit (_DigitValues). Each check is built once per
+    (element, tuple) the first time the tuple is found closed, and shared by
+    every later search that finds it closed again.
     """
 
     def __init__(self, structure: RelationalStructure, k: int):
@@ -110,6 +149,7 @@ class _PowerSearchContext:
         self.q = structure.domain_size
         self.k = k
         self.size = self.q ** k
+        self.weights = [self.q ** (k - 1 - d) for d in range(k)]
         self.digits = list(itertools.product(range(self.q), repeat=k))
         self.rels = [structure.relations[name] for name in sorted(structure.relations)]
         # slices[ri][p][v]: base tuples of relation ri with value v at p
@@ -153,61 +193,122 @@ class _PowerSearchContext:
             self.occ_id.append(cid)
             self.class_members[cid].append(x)
         self._through: dict = {}
+        # element -> {index in tuples_through: check}, filled as found closed
+        self._checks: dict = {}
+        # (relation index, x's positions) -> _DigitValues
+        self._digit_values: dict = {}
 
     def tuples_through(self, x: int) -> tuple:
         """All power-relation tuples containing x, as (relation index,
         element tuple) pairs, deduplicated."""
+        return self._incidence(x)[0]
+
+    def _incidence(self, x: int) -> tuple:
+        """tuples_through(x), and the elements of those tuples, ascending."""
         cached = self._through.get(x)
         if cached is not None:
             return cached
         found: dict = {}
+        near: set = set()
         for ri, rel in enumerate(self.rels):
             for p in range(rel.arity):
-                # columns encoded digit by digit, big-endian as encode()
-                cols = [(0,) * rel.arity]
-                for d, v in enumerate(self.digits[x]):
-                    w = self.q ** (self.k - 1 - d)
-                    pool = [tuple(w * b for b in base) for base in self.slices[ri][p][v]]
-                    cols = [tuple(map(operator.add, col, c)) for col in cols for c in pool]
-                found.update(dict.fromkeys((ri, col) for col in cols))
-        out = tuple(found)
-        self._through[x] = out
+                picks = [self.slices[ri][p][v] for v in self.digits[x]]
+                # each column encoded digit by digit, big-endian as encode()
+                cols = []
+                for m in range(rel.arity):
+                    col = [0]
+                    for w, pick in zip(self.weights, picks):
+                        step = [w * t[m] for t in pick]
+                        col = [a + b for a in col for b in step]
+                    cols.append(col)
+                    near.update(col)
+                found.update(dict.fromkeys(zip(itertools.repeat(ri), zip(*cols))))
+        out = self._through[x] = (tuple(found), sorted(near))
         return out
 
-    def closed_checks(self, x: int, rank: Mapping) -> list:
-        """Packed checks for the tuples through x whose other elements all
-        come earlier in the search order (rank): per tuple, the mask tables
-        at x's positions and (mask table, element) pairs at the others."""
-        out = []
+    def closed_checks(self, x: int, rank: list) -> list:
+        """Checks for the tuples through x whose other elements all come
+        earlier in the search order; rank[e] is e's place in it, or size
+        while e is unplaced. A check is (digit values, mask tables at x's
+        positions, (mask table, element) pairs at the others). A tuple of x
+        alone that every image passes yields none."""
         level = rank[x]
-        for ri, elems in self.tuples_through(x):
-            if all(rank.get(e, self.size) <= level for e in elems):
-                tables = self.masks[ri]
-                out.append((
-                    [tables[m] for m, e in enumerate(elems) if e == x],
-                    [(tables[m], e) for m, e in enumerate(elems) if e != x],
-                ))
+        built = self._checks.get(x)
+        if built is None:
+            built = self._checks[x] = {}
+        out = []
+        for i, (ri, elems) in enumerate(self._incidence(x)[0]):
+            if max(map(rank.__getitem__, elems)) <= level:
+                check = built.get(i)
+                if check is None:
+                    check = built[i] = self._check(x, ri, elems)
+                if check:
+                    out.append(check)
         return out
+
+    def _check(self, x: int, ri: int, elems: tuple):
+        """The check of one tuple through x, or () when it rejects nothing."""
+        at = tuple(m for m, e in enumerate(elems) if e == x)
+        values = self._digit_values.get((ri, at))
+        if values is None:
+            values = self._digit_values[(ri, at)] = _DigitValues(self.rels[ri], at, self.k)
+        if len(at) == len(elems) and values[-1] == (1 << self.q) - 1:
+            return ()
+        tables = self.masks[ri]
+        return (
+            values,
+            [tables[m] for m in at],
+            [(tables[m], e) for m, e in enumerate(elems) if e != x],
+        )
 
     def candidates(
         self, x: int, checks: list, assignment: dict, used: set, fixes: Mapping
     ) -> Iterator[int]:
         """Unused images for x in its occurrence class that pass its closed
-        checks. Lazy: the search resumes it only after undoing every deeper
-        step, so assignment and used read the same as at the first call."""
-        if x in fixes:
-            pool: Iterable = (fixes[x],)
-        else:
-            pool = self.class_members[self.occ_id[x]]
+        checks, in ascending order. Lazy: the search resumes it only after
+        undoing every deeper step, so assignment and used read the same as
+        at the first call.
+
+        The checks, in turn, narrow the values each digit of an image may
+        take, until every digit has at most one left. When the product of
+        those values is smaller than x's class, it is the pool, read in
+        lexicographic, hence ascending, order; each of its elements passes
+        the checks read so far, so only the rest are tested."""
+        k = self.k
+        occ_id = self.occ_id
+        cid = occ_id[x]
+        pool: Iterable = self.class_members[cid]
+        rest = iter(checks)
         partial = []
-        for at_x, others in checks:
+        if x in fixes:
+            pool = (fixes[x],)
+        elif checks:
+            allowed = [(1 << self.q) - 1] * k
+            for values, at_x, others in rest:
+                acc = -1
+                for table, e in others:
+                    acc &= table[assignment[e]]
+                partial.append((acc, at_x))
+                block = values.block
+                allowed = [
+                    a & values[acc >> s & block] for a, s in zip(allowed, values.shifts)
+                ]
+                if max(map(int.bit_count, allowed)) <= 1:
+                    break
+            if math.prod(map(int.bit_count, allowed)) < len(pool):
+                per_digit = [
+                    [w * v for v in range(self.q) if a >> v & 1]
+                    for w, a in zip(self.weights, allowed)
+                ]
+                pool = map(sum, itertools.product(*per_digit))
+                partial = []
+        for values, at_x, others in rest:
             acc = -1
             for table, e in others:
                 acc &= table[assignment[e]]
             partial.append((acc, at_x))
-        k = self.k
         for f in pool:
-            if f in used or self.occ_id[f] != self.occ_id[x]:
+            if f in used or occ_id[f] != cid:
                 continue
             for acc, at_x in partial:
                 for table in at_x:
@@ -228,8 +329,11 @@ class _PowerSearchContext:
         assignment time as many tuple partners as possible are pinned. It
         grows, with each depth's closed checks, only when the search first
         reaches that depth."""
+        size = self.size
         order: list = sorted(set(fixes))
-        rank = {x: i for i, x in enumerate(order)}
+        rank = [size] * size
+        for i, x in enumerate(order):
+            rank[x] = i
         least = 0
         checks: list = []
         assignment: dict = {}
@@ -237,16 +341,16 @@ class _PowerSearchContext:
         iters: list = []
         level = 0
         while True:
-            if level == self.size:
-                return tuple(assignment[x] for x in range(self.size))
+            if level == size:
+                return tuple(assignment[x] for x in range(size))
             if level == len(checks):
                 if level:
-                    near = self.tuples_through(order[level - 1])
-                    for y in sorted({e for _, t in near for e in t if e not in rank}):
-                        rank[y] = len(order)
-                        order.append(y)
+                    for y in self._incidence(order[level - 1])[1]:
+                        if rank[y] == size:
+                            rank[y] = len(order)
+                            order.append(y)
                 if level == len(order):
-                    while least in rank:
+                    while rank[least] != size:
                         least += 1
                     rank[least] = level
                     order.append(least)
@@ -367,7 +471,9 @@ def decide_strong_balance(
     """Classify a language: BALANCED (counting is tractable),
     NOT_STRONGLY_RECTANGULAR or NOT_BALANCED (counting is as hard as any
     counting problem), or TIMEOUT if some automorphism search exceeds its
-    per-quadruple node budget. Deterministic for fixed inputs and budgets."""
+    per-quadruple node budget. Deterministic for fixed inputs and budgets;
+    a negative budget is a ValueError whatever the language."""
+    SearchBudget(max_nodes)  # rejects a negative budget before any stage runs
     op, violation = find_maltsev_with_certificate(structure)
     if op is None:
         return DichotomyVerdict(

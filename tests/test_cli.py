@@ -243,6 +243,19 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "no such relation" in capsys.readouterr().err
 
 
+def test_negative_node_budget_is_an_input_error(tmp_path, capsys):
+    s = _file(tmp_path, "s", XOR3_TEXT)
+    i = _file(tmp_path, "i", XOR_INSTANCE)
+    for argv in (["analyze", s], ["count", s, i], ["count", s, i, "--force"]):
+        assert cli.main(argv + ["--max-nodes", "-5"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-nodes must be non-negative, got -5\n"
+    # a budget of 0 is valid: the sweep runs out of it at once
+    assert cli.main(["analyze", s, "--max-nodes", "0"]) == 2
+    assert capsys.readouterr().out.startswith("TIMEOUT\n")
+
+
 def test_normalization_note(tmp_path, capsys):
     text = "domain 4\nrelation D 2 2\n0 2\n2 0\n"
     s = _file(tmp_path, "s", text)

@@ -71,6 +71,13 @@ def test_operation_over_another_domain_is_rejected():
                 run()
 
 
+def test_operation_over_another_domain_is_rejected_without_constraints():
+    # no constrained variable once meant q**n without a look at phi
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="operation is over 2 elements, the structure over 3"):
+            count(diagonal_structure(3), find_maltsev(XOR3), Instance(n, []))
+
+
 def test_count_single_constraint():
     inst = Instance(3, [("XOR3", (0, 1, 2))])
     assert count(XOR3, MIN2, inst) == 4

@@ -88,6 +88,19 @@ def test_search_budget():
         find_automorphism(xor3_structure(), 6, max_nodes=1)
 
 
+def test_negative_budget_is_a_value_error():
+    with pytest.raises(ValueError, match="non-negative, got -5"):
+        SearchBudget(-5)
+    # rank_defect is decided before the sweep, yet its budget is checked too
+    for st in (xor3_structure(), rank_defect_structure()):
+        with pytest.raises(ValueError, match="non-negative, got -5"):
+            decide_strong_balance(st, max_nodes=-5)
+    with pytest.raises(ValueError):
+        find_automorphism(xor3_structure(), 1, max_nodes=-1)
+    v = decide_strong_balance(xor3_structure(), max_nodes=0)
+    assert (v.kind, v.quadruple, v.quadruples_checked) == (VERDICT_TIMEOUT, (0, 0, 0, 1), 1)
+
+
 def test_refute_balance_rank_defect():
     ref = refute_balance(rank_defect_structure())
     assert ref is not None
@@ -206,7 +219,8 @@ def _digest(image):
 
 # Per quadruple: nodes spent and the first 16 hex digits of the SHA-256 of
 # repr(image table), recorded with the eager search order and digit-wise
-# membership checks that the lazy order and packed masks replaced.
+# membership checks that the lazy order and packed masks replaced; diag3's
+# with the full-class candidate scan that digit narrowing replaced.
 SWEEP_PINS = {
     "xor3": [
         ((0, 0, 0, 1), 64, "b686347032762a6e"),
@@ -222,12 +236,72 @@ SWEEP_PINS = {
         ((a, b, c, 1 - c), 64, "a9f8eb99f09cc636" if c == 0 else "1ae1244f25e03458")
         for a, b, c in itertools.product((0, 1), repeat=3)
     ],
+    "diag3": [
+        ((0, 0, 0, 1), 729, "86a10dd21620f3ab"),
+        ((0, 0, 0, 2), 729, "f6b0cbe8c5a80f65"),
+        ((0, 0, 1, 0), 729, "5924b8ce88bbff5f"),
+        ((0, 0, 1, 2), 729, "64ce8227c9eb033b"),
+        ((0, 0, 2, 0), 729, "5b5fc3770e57c129"),
+        ((0, 0, 2, 1), 729, "0dd515157414bfea"),
+        ((0, 1, 0, 1), 729, "86a10dd21620f3ab"),
+        ((0, 1, 0, 2), 729, "f6b0cbe8c5a80f65"),
+        ((0, 1, 1, 0), 729, "5924b8ce88bbff5f"),
+        ((0, 1, 1, 2), 729, "64ce8227c9eb033b"),
+        ((0, 1, 2, 0), 729, "5b5fc3770e57c129"),
+        ((0, 1, 2, 1), 729, "0dd515157414bfea"),
+        ((0, 2, 0, 1), 729, "86a10dd21620f3ab"),
+        ((0, 2, 0, 2), 729, "f6b0cbe8c5a80f65"),
+        ((0, 2, 1, 0), 729, "5924b8ce88bbff5f"),
+        ((0, 2, 1, 2), 729, "64ce8227c9eb033b"),
+        ((0, 2, 2, 0), 729, "5b5fc3770e57c129"),
+        ((0, 2, 2, 1), 729, "0dd515157414bfea"),
+        ((1, 0, 0, 1), 729, "86a10dd21620f3ab"),
+        ((1, 0, 0, 2), 729, "46800e73f4810f82"),
+        ((1, 0, 1, 0), 729, "5924b8ce88bbff5f"),
+        ((1, 0, 1, 2), 729, "64ce8227c9eb033b"),
+        ((1, 0, 2, 0), 729, "5730d6f5f06f1bf1"),
+        ((1, 0, 2, 1), 729, "0dd515157414bfea"),
+        ((1, 1, 0, 1), 729, "86a10dd21620f3ab"),
+        ((1, 1, 0, 2), 729, "05fca4bf34c0a808"),
+        ((1, 1, 1, 0), 729, "5924b8ce88bbff5f"),
+        ((1, 1, 1, 2), 729, "64ce8227c9eb033b"),
+        ((1, 1, 2, 0), 729, "04cdabd916af513a"),
+        ((1, 1, 2, 1), 729, "0dd515157414bfea"),
+        ((1, 2, 0, 1), 729, "86a10dd21620f3ab"),
+        ((1, 2, 0, 2), 729, "4754ace4aa56176f"),
+        ((1, 2, 1, 0), 729, "5924b8ce88bbff5f"),
+        ((1, 2, 1, 2), 729, "64ce8227c9eb033b"),
+        ((1, 2, 2, 0), 729, "0cf2a827608aa14f"),
+        ((1, 2, 2, 1), 729, "0dd515157414bfea"),
+        ((2, 0, 0, 1), 729, "86a10dd21620f3ab"),
+        ((2, 0, 0, 2), 729, "f6b0cbe8c5a80f65"),
+        ((2, 0, 1, 0), 729, "5924b8ce88bbff5f"),
+        ((2, 0, 1, 2), 729, "64ce8227c9eb033b"),
+        ((2, 0, 2, 0), 729, "5b5fc3770e57c129"),
+        ((2, 0, 2, 1), 729, "0dd515157414bfea"),
+        ((2, 1, 0, 1), 729, "86a10dd21620f3ab"),
+        ((2, 1, 0, 2), 729, "f6b0cbe8c5a80f65"),
+        ((2, 1, 1, 0), 729, "5924b8ce88bbff5f"),
+        ((2, 1, 1, 2), 729, "64ce8227c9eb033b"),
+        ((2, 1, 2, 0), 729, "5b5fc3770e57c129"),
+        ((2, 1, 2, 1), 729, "0dd515157414bfea"),
+        ((2, 2, 0, 1), 729, "86a10dd21620f3ab"),
+        ((2, 2, 0, 2), 729, "f6b0cbe8c5a80f65"),
+        ((2, 2, 1, 0), 729, "5924b8ce88bbff5f"),
+        ((2, 2, 1, 2), 729, "64ce8227c9eb033b"),
+        ((2, 2, 2, 0), 729, "5b5fc3770e57c129"),
+        ((2, 2, 2, 1), 729, "0dd515157414bfea"),
+    ],
 }
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_PINS))
 def test_sweep_steps_and_witnesses(name):
-    structure = {"xor3": xor3_structure, "constants": constants_structure}[name]()
+    structure = {
+        "xor3": xor3_structure,
+        "constants": constants_structure,
+        "diag3": lambda: diagonal_structure(3),
+    }[name]()
     _, sweep = _sweep(structure)
     assert [(p.quadruple, used, _digest(image)) for p, used, image in sweep] == SWEEP_PINS[name]
     for pat, _, image in sweep:
@@ -242,5 +316,6 @@ def test_affine3_timeout_is_pinned_and_enumerates_only_reached_elements():
         ((0, 0, 0, 1), 1001, "TIMEOUT")
     ]
     # The search reaches depth 45, so only 46 of the 729 elements need
-    # their tuples enumerated.
+    # their tuples enumerated, or their checks built.
     assert len(ctx._through) < ctx.size // 10
+    assert 0 < len(ctx._checks) < ctx.size // 10

@@ -30,7 +30,7 @@ from countcsp import (
     span,
 )
 from countcsp.counting import _congruences, _pair_support
-from countcsp.dichotomy import _PowerSearchContext
+from countcsp.dichotomy import BudgetExhausted, SearchBudget, _PowerSearchContext
 from countcsp.fixtures import (
     constants_structure,
     diagonal_structure,
@@ -119,6 +119,105 @@ def test_packed_membership_matches_digitwise_check(q, arity, k, data):
     packed = functools.reduce(operator.and_, (ctx.masks[0][m][e] for m, e in enumerate(image)))
     digitwise = all(tuple(ctx.digits[e][d] for e in image) in rel for d in range(k))
     assert (packed.bit_count() == k) == digitwise
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_digit_values_factorise_the_packed_check(q, arity, k, data):
+    row = st.tuples(*[st.integers(0, q - 1)] * arity)
+    rows = data.draw(st.lists(row, min_size=1, max_size=8))
+    assume(len({v for t in rows for v in t}) >= 2)
+    ctx = _PowerSearchContext(RelationalStructure(q, {"R": Relation(arity, rows)}), k)
+    x = data.draw(st.integers(0, ctx.size - 1))
+    assume(ctx.tuples_through(x))
+    _, elems = data.draw(st.sampled_from(ctx.tuples_through(x)))
+    check = ctx._check(x, 0, elems)
+    # any images of the other elements, whether or not the image tuple is in R^k
+    image = {e: data.draw(st.integers(0, ctx.size - 1)) for e in elems if e != x}
+    for f in range(ctx.size):
+        image[x] = f
+        packed = functools.reduce(
+            operator.and_, (ctx.masks[0][m][image[e]] for m, e in enumerate(elems))
+        )
+        if not check:  # a tuple of x alone that every image passes
+            assert packed.bit_count() == ctx.k
+            continue
+        values, at_x, others = check
+        acc = functools.reduce(operator.and_, (t[image[e]] for t, e in others), -1)
+        narrowed = all(
+            values[acc >> s & values.block] >> ctx.digits[f][d] & 1
+            for d, s in enumerate(values.shifts)
+        )
+        assert (packed.bit_count() == ctx.k) == narrowed
+
+
+class _FullScanContext(_PowerSearchContext):
+    """The sweep's kernels before digit narrowing: every tuple through x is
+    tested for closedness afresh, and each candidate pool is x's whole
+    occurrence class, every member tested against every closed check."""
+
+    def closed_checks(self, x, rank):
+        level = rank[x]
+        out = []
+        for ri, elems in self.tuples_through(x):
+            if all(rank[e] <= level for e in elems):
+                tables = self.masks[ri]
+                out.append((
+                    None,
+                    [tables[m] for m, e in enumerate(elems) if e == x],
+                    [(tables[m], e) for m, e in enumerate(elems) if e != x],
+                ))
+        return out
+
+    def candidates(self, x, checks, assignment, used, fixes):
+        pool = (fixes[x],) if x in fixes else self.class_members[self.occ_id[x]]
+        partial = []
+        for _, at_x, others in checks:
+            acc = -1
+            for table, e in others:
+                acc &= table[assignment[e]]
+            partial.append((acc, at_x))
+        for f in pool:
+            if f in used or self.occ_id[f] != self.occ_id[x]:
+                continue
+            for acc, at_x in partial:
+                for table in at_x:
+                    acc &= table[f]
+                if acc.bit_count() != self.k:
+                    break
+            else:
+                yield f
+
+
+def _search_outcome(ctx, fixes):
+    budget = SearchBudget(300)
+    try:
+        image = ctx.search(fixes, budget)
+    except BudgetExhausted:
+        image = "TIMEOUT"
+    return image, budget.used
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_narrowed_pool_searches_as_the_full_class_scan(q, k, data):
+    relations = {}
+    for r in range(data.draw(st.integers(1, 2))):
+        arity = data.draw(st.integers(1, 3))
+        row = st.tuples(*[st.integers(0, q - 1)] * arity)
+        relations["R%d" % r] = Relation(arity, data.draw(st.lists(row, min_size=1, max_size=9)))
+    assume(len({v for rel in relations.values() for t in rel for v in t}) >= 2)
+    structure = RelationalStructure(q, relations)
+    size = structure.domain_size ** k
+    sources = data.draw(st.lists(st.integers(0, size - 1), max_size=3, unique=True))
+    targets = data.draw(
+        st.lists(st.integers(0, size - 1), min_size=len(sources), max_size=len(sources), unique=True)
+    )
+    fixes = dict(zip(sources, targets))
+    got = _search_outcome(_PowerSearchContext(structure, k), fixes)
+    assert got == _search_outcome(_FullScanContext(structure, k), fixes)
+    if isinstance(got[0], tuple):
+        assert helpers.is_power_automorphism(structure, k, got[0])
 
 
 @given(
