@@ -15,11 +15,16 @@ position j is computed by a sweep over i:
 
 Everything runs on frames; the only sizes touched are projections onto at
 most three coordinates. All arithmetic is exact.
+
+`count` sweeps each connected component of an instance on its own frame
+and multiplies the results. Within a component the coordinate order is the
+sorted variable order; only the order in which constraints are added to the
+frame is chosen, so that each addition reaches few positions past its scope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .frames import Frame, SectionCache, build_frame, closure_project
@@ -29,7 +34,6 @@ from .maltsev import MaltsevOp
 # module, so they stay bound in it.
 from .oracle import balance_matrix, enumerate_solutions  # noqa: F401
 from .relations import (
-    BlockDecomposition,
     CongruencePair,
     CountMatrix,
     Instance,
@@ -37,6 +41,7 @@ from .relations import (
     ReconstructionError,
     RelationalStructure,
     _bipartite_blocks,
+    partition_from_groups,
     reconstruct_rank_one,
 )
 
@@ -62,7 +67,11 @@ class PrefixCounts:
 class CountStep:
     """One (i, j) stage of the counting sweep, for inspection and tests.
 
-    Base stages (i = 0) carry no congruence or quotient.
+    Base stages (i = 0) carry no congruence or quotient. Positions are
+    those of one frame: `variables[p]` is the instance variable at position
+    p. count_frame fills tuple(range(arity)); count, which counts each
+    connected component on its own frame, fills that component's sorted
+    variables.
     """
 
     i: int
@@ -71,6 +80,7 @@ class CountStep:
     congruence: Optional[CongruencePair]
     quotient: Optional[CountMatrix]
     counts: PrefixCounts
+    variables: tuple
 
 
 def _pair_support(frame: Frame, phi: MaltsevOp, i: int, j: int) -> dict:
@@ -145,6 +155,7 @@ def count_frame(
         return len(frame.projection(0))
 
     sections = SectionCache(frame, phi)
+    variables = tuple(range(n))
     counts: dict = {}
     # the base stages read the (0, j) closures that the root sections share
     root = sections.pairs(())
@@ -156,12 +167,13 @@ def count_frame(
         counts[(0, j)] = vals
         if trace is not None:
             support = frozenset((x, y) for x, ends in root[j].items() for y in ends)
-            trace.append(CountStep(0, j, support, None, None, PrefixCounts(0, j, dict(vals))))
+            trace.append(
+                CountStep(0, j, support, None, None, PrefixCounts(0, j, dict(vals)), variables)
+            )
 
     for i in range(1, n - 1):
         for j in range(i + 1, n):
             support = _pair_support(frame, phi, i, j)
-            blocks = _bipartite_blocks(support)
             cong = _congruences(sections, i, j, support)
             row_rep = {x: min(c) for c in cong.backward for x in c}
             col_rep = {y: min(c) for c in cong.forward for y in c}
@@ -177,17 +189,9 @@ def count_frame(
                             )
             row_totals = {r: row_counts[r] for r in set(row_rep.values())}
             col_totals = {c: col_counts[c] for c in set(col_rep.values())}
-            # Every forward and backward class lies inside one support block,
-            # and a vertex map keeps a block connected, so the blocks mapped
-            # to class representatives are the quotient support's blocks; they
-            # stay in least-row order because each representative is its
-            # class's least element.
-            quotient_blocks = BlockDecomposition(
-                tuple(
-                    (frozenset(row_rep[x] for x in rows), frozenset(col_rep[y] for y in cols))
-                    for rows, cols in blocks
-                )
-            )
+            # The union-find runs on the quotient support, which has one
+            # vertex per class rather than per value.
+            quotient_blocks = _bipartite_blocks({(row_rep[x], col_rep[y]) for x, y in support})
             try:
                 quotient = reconstruct_rank_one(quotient_blocks, row_totals, col_totals)
             except ReconstructionError as e:
@@ -207,6 +211,7 @@ def count_frame(
                         cong,
                         quotient,
                         PrefixCounts(i, j, dict(vals)),
+                        variables,
                     )
                 )
     return sum(counts[(n - 2, n - 1)].values())
@@ -221,21 +226,48 @@ def count(
 ) -> int:
     """Number of solutions of the instance, via frames and reconstruction.
 
-    Variables mentioned in no constraint contribute a factor q each and are
-    stripped before the frame is built; with none left, the frame is the
-    arity-0 one, still checked against phi like any other.
+    Variables mentioned in no constraint contribute a factor q each. The
+    others fall into connected components (two constraints meet when their
+    scopes share a variable), and the count is q**free times the product of
+    the components' counts. Each component gets its own frame over its
+    variables in sorted order, so the coordinate order is the instance's.
+    Its constraints go in fewest distinct variables first, then highest
+    variable first: unary constraints and folded repeats come first, and a
+    banded instance is added from its high end, so each constraint touches
+    few positions after its scope. Every frame is built before any is
+    counted; an empty one makes the count 0 and leaves the trace empty. The
+    trace lists each component's stages in turn, components by least
+    variable.
     """
     q = structure.domain_size
-    used = instance.constrained_variables()
-    free = instance.num_vars - len(used)
-    remap = {v: k for k, v in enumerate(used)}
-    core = Instance(
-        len(used),
-        tuple(
-            (name, tuple(remap[v] for v in scope))
-            for name, scope in instance.constraints
-        ),
-    )
-    frame = build_frame(structure, phi, core)
-    return (q ** free) * count_frame(frame, phi, verify=verify, trace=trace)
-
+    if phi.q != q:
+        raise ValueError(
+            "operation is over %d elements, the structure over %d" % (phi.q, q)
+        )
+    # components in order of least variable, each with its constraints
+    groups: dict = {
+        cls: [] for cls in partition_from_groups(scope for _, scope in instance.constraints)
+    }
+    of = {v: cls for cls in groups for v in cls}
+    for name, scope in instance.constraints:
+        groups[of[scope[0]]].append((name, scope))
+    built = []
+    for cls, group in groups.items():
+        variables = tuple(sorted(cls))
+        pos = {v: k for k, v in enumerate(variables)}
+        constraints = sorted(group, key=lambda c: (len(set(c[1])), -max(c[1])))
+        core = Instance(
+            len(variables),
+            tuple((name, tuple(pos[v] for v in scope)) for name, scope in constraints),
+        )
+        frame = build_frame(structure, phi, core)
+        if frame.is_empty():
+            return 0
+        built.append((variables, frame))
+    total = q ** (instance.num_vars - sum(len(v) for v, _ in built))
+    for variables, frame in built:
+        steps: Optional[list] = None if trace is None else []
+        total *= count_frame(frame, phi, verify=verify, trace=steps)
+        if trace is not None:
+            trace.extend(replace(s, variables=variables) for s in steps)
+    return total

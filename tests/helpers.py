@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the package.
 
 Nothing here imports the fast-path internals beyond public data types; the
-point is to recompute expected values a second way. The one exception is
+point is to recompute expected values a second way. The exceptions are
 split_frame, a second constraint-addition path that build_frame's frames are
-compared against.
+compared against, and trace_text, the canonical text that count traces are
+compared and pinned as.
 """
 
 from __future__ import annotations
@@ -89,6 +90,22 @@ def brute_prefix_counts(solutions, i: int, j: int) -> dict:
     for t in solutions:
         seen.setdefault(t[j], set()).add(t[: i + 1])
     return {y: len(p) for y, p in seen.items()}
+
+
+def trace_text(trace: list) -> str:
+    """Canonical text of count(..., trace=) steps: supports, classes,
+    quotient entries and stage counts, all sorted."""
+    lines = []
+    for s in trace:
+        parts = [s.i, s.j, sorted(s.support), sorted(s.counts.values.items())]
+        if s.congruence is not None:
+            parts.append([sorted(c) for c in s.congruence.forward])
+            parts.append([sorted(c) for c in s.congruence.backward])
+        if s.quotient is not None:
+            q = s.quotient
+            parts.append((q.row_labels, q.col_labels, sorted(q.entries.items())))
+        lines.append(repr(parts))
+    return "\n".join(lines) + "\n"
 
 
 def naive_maltsev_closure(rows, op) -> set:

@@ -17,6 +17,7 @@ from countcsp import (
     oracle_congruence_pair,
     oracle_count,
 )
+from countcsp import counting, frames
 from countcsp.fixtures import (
     constants_structure,
     diagonal_structure,
@@ -166,6 +167,74 @@ def test_trace_stages_match_brute_prefix_counts():
         assert sum(q.get(r, c) for c in q.col_labels) == prev_row[r]
     for c in q.col_labels:
         assert sum(q.get(r, c) for r in q.row_labels) == prev_col[c]
+
+
+def test_constraint_order_changes_no_count_trace_or_closure(monkeypatch):
+    calls = [0]
+    closure = frames.closure_project
+
+    def counted(*args):
+        calls[0] += 1
+        return closure(*args)
+
+    monkeypatch.setattr(frames, "closure_project", counted)
+    monkeypatch.setattr(counting, "closure_project", counted)
+    n = 20
+    chain = [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)]
+    shuffled = list(chain)
+    random.Random(11).shuffle(shuffled)
+    runs = []
+    for order in (chain, chain[::-1], shuffled):
+        calls[0] = 0
+        trace: list = []
+        got = count(XOR3, MIN2, Instance(n, order), trace=trace)
+        runs.append((got, helpers.trace_text(trace), calls[0]))
+    assert runs[0][0] == 4
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+# two XOR3 components with interleaved labels and a free variable 4:
+# {0, 3, 5, 7} has 4 solutions, {1, 2, 6} with x6 = 1 has 2
+LEFT = [("XOR3", (0, 3, 5)), ("XOR3", (3, 5, 7))]
+RIGHT = [("XOR3", (1, 2, 6)), ("CONST_1", (6,))]
+
+
+def _alone(constraints, variables):
+    pos = {v: k for k, v in enumerate(variables)}
+    scoped = [(name, tuple(pos[v] for v in scope)) for name, scope in constraints]
+    return Instance(len(variables), scoped)
+
+
+def test_components_count_apart():
+    inst = Instance(8, [RIGHT[0], LEFT[0], RIGHT[1], LEFT[1]])
+    trace: list = []
+    assert count(XOR3, MIN2, inst, verify=True, trace=trace) == 4 * 2 * 2
+    assert oracle_count(XOR3, inst) == 16
+    # components in order of least variable, each traced as if alone
+    alone: list = []
+    for constraints, variables in ((LEFT, (0, 3, 5, 7)), (RIGHT, (1, 2, 6))):
+        steps: list = []
+        count(XOR3, MIN2, _alone(constraints, variables), trace=steps)
+        alone += [(s, variables) for s in steps]
+    assert len(trace) == 6 + 3
+    assert helpers.trace_text(trace) == helpers.trace_text([s for s, _ in alone])
+    assert [s.variables for s in trace] == [v for _, v in alone]
+
+
+def test_unsat_component_gives_zero_and_no_trace():
+    inst = Instance(8, LEFT + RIGHT + [("CONST_0", (6,))])
+    trace: list = []
+    assert count(XOR3, MIN2, inst, trace=trace) == 0
+    assert oracle_count(XOR3, inst) == 0
+    assert trace == []
+
+
+def test_count_frame_traces_its_own_positions():
+    frame = build_frame(XOR3, MIN2, Instance(4, [("XOR3", (0, 1, 2)), ("XOR3", (1, 2, 3))]))
+    trace: list = []
+    count_frame(frame, MIN2, trace=trace)
+    assert trace and all(s.variables == (0, 1, 2, 3) for s in trace)
 
 
 def test_rank_defect_straight_scope_counts():

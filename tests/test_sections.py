@@ -1,6 +1,7 @@
 """Prefix sections are built once per count, and neither sharing them,
-growing frames as variables appear, nor reading congruences off the
-sections' pair closures changes a generated relation, count or trace.
+growing frames as variables appear, reading congruences off the sections'
+pair closures, nor counting connected components apart in their own
+constraint order changes a generated relation or count.
 
 The count-and-trace digests were recorded with a fresh section cache per
 pinned add_constraint, pair closures per section and sections past a
@@ -15,6 +16,14 @@ relation digests (every tuple of D^n that member accepts) were recorded
 with those frames too. The frame-dump digests were re-recorded once
 build_frame grew its frames as variables appear: the rows changed, the
 relations they generate did not.
+
+When count came to count each connected component on its own frame, the
+count-and-trace digest was split in two. The count digest was recorded
+before that change and did not move. The trace digest was re-recorded: the
+trace of every single-component instance stayed byte-identical, and the
+trace of every instance with several components is now the concatenation
+of its components' traces, each as the earlier count gave it for that
+component alone (relabelled to its sorted variables).
 """
 
 import hashlib
@@ -32,47 +41,36 @@ from countcsp.fixtures import (
     xor3_structure,
 )
 
+import helpers
+
 BATTERY = {
     "xor3": xor3_structure(),
     "diag3": diagonal_structure(3),
     "constants": constants_structure(),
 }
 
-# language -> SHA-256 of (the frame dumps, the counts and traces, the
-# generated relations)
+# language -> SHA-256 of (the frame dumps, the counts, the count traces,
+# the generated relations)
 DIGESTS = {
     "xor3": (
         "b078e3bf10c090339b3eeedf3094ee1cb7e4da696f85e73a0b23be84fd1fbae5",
-        "940dc6dd2393143fae0792c544cf80493401186081a083a2af1588c0507f016b",
+        "d2c4bae7ac83fdb8a618f478c4cdf1e07ba2752d3098befb181ffded30804a5f",
+        "37edf06ab81a23e069e9045a4d507cc5e35d8f4f6015658b80d880eed0a1fb5d",
         "250647245648b597d4216ce7bd7ead8cb68457e50e8f6dd1afa9f39884e0206f",
     ),
     "diag3": (
         "90439f4b1892001903afec173db6df9d30f0b53f83726aa6e09f10ae4c343b5a",
-        "31803e60785b052c2e363e3f6ce3897edfa30a666d2b8f8702c81c0ca0cb2be0",
+        "ef0ce4de7735847d55613e8b6a188330aa2f64a0c3d280bd1d062542e7ffe4bc",
+        "e19eb267e33520da4cfa2237c72daa1ff1d24c9382b0d82aed2bb14a6d8ed2e2",
         "fe3c1e08771b03c6a24e6a0b478a8a45d37b2ebf06b447ec63a44a4aea8791ab",
     ),
     "constants": (
         "d245bbc05acde567abc8e4a5a305ed611f0aed313251845352f8760327af911d",
-        "ccde3132e7e4083f25ba91a426ff15bdc656d7c75733474475b6b5ef91d69523",
+        "dedde3cf7b19ee93934a7e8fe93a762e09733c37055092c0948e68b5f59fb794",
+        "6bccc470e874940e53d9228d02214d76ae6ebd9a8792ad3b20344aba5cf35cdc",
         "d7eaa72f5a5b13f7823254cc2cd6d643a6f29c6959c6f65d532243493d51d747",
     ),
 }
-
-
-def trace_text(trace: list) -> str:
-    """Canonical text of count(..., trace=) steps: supports, classes,
-    quotient entries and stage counts, all sorted."""
-    lines = []
-    for s in trace:
-        parts = [s.i, s.j, sorted(s.support), sorted(s.counts.values.items())]
-        if s.congruence is not None:
-            parts.append([sorted(c) for c in s.congruence.forward])
-            parts.append([sorted(c) for c in s.congruence.backward])
-        if s.quotient is not None:
-            q = s.quotient
-            parts.append((q.row_labels, q.col_labels, sorted(q.entries.items())))
-        lines.append(repr(parts))
-    return "\n".join(lines) + "\n"
 
 
 def relation_text(frame, phi, q: int) -> str:
@@ -90,6 +88,7 @@ def battery_digests(structure) -> tuple:
     phi = find_maltsev(structure)
     frame_hash = hashlib.sha256()
     count_hash = hashlib.sha256()
+    trace_hash = hashlib.sha256()
     relation_hash = hashlib.sha256()
     for _ in range(60):
         inst = random_instance(structure, rng, max_vars=8, max_constraints=7)
@@ -99,8 +98,8 @@ def battery_digests(structure) -> tuple:
         trace: list = []
         c = count(structure, phi, inst, trace=trace)
         count_hash.update(("%d\n" % c).encode())
-        count_hash.update(trace_text(trace).encode())
-    return frame_hash.hexdigest(), count_hash.hexdigest(), relation_hash.hexdigest()
+        trace_hash.update(helpers.trace_text(trace).encode())
+    return tuple(h.hexdigest() for h in (frame_hash, count_hash, trace_hash, relation_hash))
 
 
 @pytest.mark.parametrize("name", sorted(BATTERY))
@@ -134,8 +133,12 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # 6,163 closures and 597 sections, and base stages that close their own
     # (0, j) pairs 4,813 closures; forward classes from pinned (i+1)-prefix
     # sections and backward ones from each support block's least column
-    # 4,794 closures and 595 sections.
-    assert calls == {"closure_project": 4644, "_fix_first": 578, "projection": 0}
+    # 4,794 closures and 595 sections; both classes read off one section's
+    # pair closure 4,644 closures and 578 sections. Adding the constraints in
+    # file order pinned sections up to the frame's last position on every
+    # add_constraint; highest variable first puts each new variable at
+    # position 0.
+    assert calls == {"closure_project": 1288, "_fix_first": 107, "projection": 0}
     # count_frame alone reads both classes off one section's pair closure
     # (the two readings above made 835 closures, 70 sections and 855
     # projection scans), and it pins no frame: it adds no constraint
