@@ -24,7 +24,7 @@ frame is chosen, so that each addition reaches few positions past its scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .frames import Frame, SectionCache, build_frame, closure_project
@@ -69,9 +69,9 @@ class CountStep:
 
     Base stages (i = 0) carry no congruence or quotient. Positions are
     those of one frame: `variables[p]` is the instance variable at position
-    p. count_frame fills tuple(range(arity)); count, which counts each
-    connected component on its own frame, fills that component's sorted
-    variables.
+    p. count_frame fills tuple(range(arity)) unless told otherwise; count,
+    which counts each connected component on its own frame, fills that
+    component's sorted variables.
     """
 
     i: int
@@ -138,6 +138,7 @@ def count_frame(
     phi: MaltsevOp,
     verify: bool = False,
     trace: Optional[list] = None,
+    variables: Optional[tuple] = None,
 ) -> int:
     """Size of the relation generated by a frame.
 
@@ -145,6 +146,8 @@ def count_frame(
     re-checked on every congruence class; violations raise
     NotBalancedError, as do inconsistent margins or non-integral
     reconstructed entries. A `trace` list receives one CountStep per stage.
+    `variables[p]` names position p in those errors and steps; it defaults
+    to tuple(range(arity)).
     """
     if frame.is_empty():
         return 0
@@ -155,7 +158,8 @@ def count_frame(
         return len(frame.projection(0))
 
     sections = SectionCache(frame, phi)
-    variables = tuple(range(n))
+    if variables is None:
+        variables = tuple(range(n))
     counts: dict = {}
     # the base stages read the (0, j) closures that the root sections share
     root = sections.pairs(())
@@ -185,7 +189,7 @@ def count_frame(
                         if len({stage[v] for v in cls}) != 1:
                             raise NotBalancedError(
                                 "stage counts are not constant on a congruence "
-                                "class at pair (%d, %d)" % (i, j)
+                                "class at pair (%d, %d)" % (variables[i], variables[j])
                             )
             row_totals = {r: row_counts[r] for r in set(row_rep.values())}
             col_totals = {c: col_counts[c] for c in set(col_rep.values())}
@@ -196,7 +200,8 @@ def count_frame(
                 quotient = reconstruct_rank_one(quotient_blocks, row_totals, col_totals)
             except ReconstructionError as e:
                 raise NotBalancedError(
-                    "reconstruction failed at pair (%d, %d): %s" % (i, j, e)
+                    "reconstruction failed at pair (%d, %d): %s"
+                    % (variables[i], variables[j], e)
                 ) from e
             vals = {}
             for x, y in support:
@@ -237,7 +242,8 @@ def count(
     few positions after its scope. Every frame is built before any is
     counted; an empty one makes the count 0 and leaves the trace empty. The
     trace lists each component's stages in turn, components by least
-    variable.
+    variable. A NotBalancedError names its failing pair by instance
+    variables.
     """
     q = structure.domain_size
     if phi.q != q:
@@ -267,7 +273,7 @@ def count(
     total = q ** (instance.num_vars - sum(len(v) for v, _ in built))
     for variables, frame in built:
         steps: Optional[list] = None if trace is None else []
-        total *= count_frame(frame, phi, verify=verify, trace=steps)
+        total *= count_frame(frame, phi, verify=verify, trace=steps, variables=variables)
         if trace is not None:
-            trace.extend(replace(s, variables=variables) for s in steps)
+            trace.extend(steps)
     return total

@@ -21,6 +21,16 @@ narrow the values each digit of its image may take, and only the product
 of those values is tried when it is smaller than the element's class.
 Each check is built once per context, when its tuple is first found
 closed, and shared by every quadruple's search.
+
+A permutation of positions that maps a relation onto itself maps its power
+relations onto themselves too, so the check of the permuted tuple passes
+exactly when the check of the tuple does. Two positions are
+interchangeable when swapping them maps the relation onto itself, and the
+sweep uses the permutations within these classes: it enumerates tuples
+through an element only at the least position of each class, and keeps one
+tuple per orbit of that position's stabiliser, the one whose values are
+sorted within each class. That is up to 6 times fewer checks for XOR3 and
+24 for XOR4, with the same candidates, nodes and images.
 """
 
 from __future__ import annotations
@@ -126,6 +136,28 @@ class _DigitValues(dict):
         return mask
 
 
+def _interchangeable(rel) -> list:
+    """rel's positions in classes, each ascending, classes by least
+    position: i and j share a class iff swapping them maps rel onto itself.
+    That is an equivalence (swap(i, k) is swap(i, j) swap(j, k) swap(i, j)),
+    so a position is tested against each class's least member only. Every
+    permutation within classes then maps rel onto itself too. Symmetries
+    that no transposition generates, such as the rotations of a cyclic
+    relation, are not used: finding them all could mean trying every one of
+    arity! permutations, as many as a fully symmetric relation has."""
+    rows = set(rel)
+    classes: list = []
+    for i in range(rel.arity):
+        for cls in classes:
+            j = cls[0]
+            if {t[:j] + (t[i],) + t[j + 1:i] + (t[j],) + t[i + 1:] for t in rel} == rows:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
 class _PowerSearchContext:
     """Shared precomputation for automorphism searches over one power.
 
@@ -141,6 +173,16 @@ class _PowerSearchContext:
     images of x digit by digit (_DigitValues). Each check is built once per
     (element, tuple) the first time the tuple is found closed, and shared by
     every later search that finds it closed again.
+
+    A symmetry pi of a relation R (t∘pi in R for every t in R) maps R^k onto
+    itself, and an image passes the check of t∘pi iff it passes that of t,
+    while both tuples have the same elements, hence close together. The
+    permutations within R's classes of interchangeable positions are such
+    symmetries. So tuples through x are enumerated only at the least
+    position p of each class, one per orbit of p's stabiliser: the least
+    of its permuted element tuples, whose values are sorted within each
+    class, p's class without p. A sorting network of bulk min and max
+    passes over the columns sorts them all at once.
     """
 
     def __init__(self, structure: RelationalStructure, k: int):
@@ -171,6 +213,7 @@ class _PowerSearchContext:
                 [sum(block[v] << d * len(rel) for d, v in enumerate(dx)) for dx in self.digits]
                 for block in blocks
             ])
+        self.classes = [_interchangeable(rel) for rel in self.rels]
         # occurrence profile: tuples through x at (ri, p) factorize over digits
         profiles: dict = {}
         self.occ_id = []
@@ -199,20 +242,28 @@ class _PowerSearchContext:
         self._digit_values: dict = {}
 
     def tuples_through(self, x: int) -> tuple:
-        """All power-relation tuples containing x, as (relation index,
-        element tuple) pairs, deduplicated."""
+        """One power-relation tuple containing x per symmetry orbit, as
+        (relation index, element tuple) pairs: each has x at the least
+        position p of a class of interchangeable positions, and its values
+        sorted within each class, p's class without p. Permuting the
+        representatives within their relation's classes gives every tuple
+        containing x."""
         return self._incidence(x)[0]
 
     def _incidence(self, x: int) -> tuple:
-        """tuples_through(x), and the elements of those tuples, ascending."""
+        """tuples_through(x), and the elements of all tuples through x,
+        ascending."""
         cached = self._through.get(x)
         if cached is not None:
             return cached
         found: dict = {}
         near: set = set()
         for ri, rel in enumerate(self.rels):
-            for p in range(rel.arity):
+            for cls in self.classes[ri]:
+                p = cls[0]
                 picks = [self.slices[ri][p][v] for v in self.digits[x]]
+                if not all(picks):  # some digit of x occurs at p in no base tuple
+                    continue
                 # each column encoded digit by digit, big-endian as encode()
                 cols = []
                 for m in range(rel.arity):
@@ -222,6 +273,13 @@ class _PowerSearchContext:
                         col = [a + b for a in col for b in step]
                     cols.append(col)
                     near.update(col)
+                # each tuple's values sorted within each class, p's without
+                # p, by a bubble network of compare-exchanges on whole columns
+                for block in (c[1:] if c is cls else c for c in self.classes[ri]):
+                    for end in range(len(block) - 1, 0, -1):
+                        for a, b in zip(block, block[1:end + 1]):
+                            lo, hi = cols[a], cols[b]
+                            cols[a], cols[b] = list(map(min, lo, hi)), list(map(max, lo, hi))
                 found.update(dict.fromkeys(zip(itertools.repeat(ri), zip(*cols))))
         out = self._through[x] = (tuple(found), sorted(near))
         return out

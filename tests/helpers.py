@@ -135,34 +135,48 @@ def brute_solutions(structure, instance):
     ]
 
 
+def _power_encode(digs, q: int) -> int:
+    x = 0
+    for d in digs:
+        x = x * q + d
+    return x
+
+
+def power_tuples_through(relations, q: int, k: int, x: int) -> set:
+    """Every tuple of the k-th power of each relation (in the list's order)
+    that contains the encoded element x, as (relation index, element tuple)
+    pairs: one base tuple per digit, with x's digit at some position."""
+    digits = []
+    for _ in range(k):
+        x, d = divmod(x, q)
+        digits.append(d)
+    digits.reverse()
+    out = set()
+    for ri, rel in enumerate(relations):
+        for p in range(rel.arity):
+            picks = [[t for t in rel if t[p] == v] for v in digits]
+            for choice in itertools.product(*picks):
+                out.add((ri, tuple(
+                    _power_encode([t[m] for t in choice], q) for m in range(rel.arity)
+                )))
+    return out
+
+
 def is_power_automorphism(structure, k: int, mapping) -> bool:
-    """Check a candidate map explicitly against every power-relation tuple."""
+    """Check a candidate map explicitly against every power-relation tuple:
+    a bijection of the power domain that maps each tuple of each R^k into
+    R^k."""
     q = structure.domain_size
-    size = q ** k
-    if sorted(mapping) != list(range(size)):
+    if sorted(mapping) != list(range(q ** k)):
         return False
-
-    def decode(x):
-        out = []
-        for _ in range(k):
-            x, d = divmod(x, q)
-            out.append(d)
-        return tuple(reversed(out))
-
-    def encode(digs):
-        x = 0
-        for d in digs:
-            x = x * q + d
-        return x
-
     for rel in structure.relations.values():
-        for choice in itertools.product(list(rel), repeat=k):
-            elems = [encode([choice[d][p] for d in range(k)]) for p in range(rel.arity)]
-            image = [mapping[e] for e in elems]
-            digs = [decode(e) for e in image]
-            for d in range(k):
-                if tuple(s[d] for s in digs) not in rel:
-                    return False
+        # R^k as encoded element tuples, one base tuple per digit, big-endian
+        power = [(0,) * rel.arity]
+        for _ in range(k):
+            power = [tuple(e * q + v for e, v in zip(es, t)) for es in power for t in rel]
+        members = set(power)
+        if any(tuple(map(mapping.__getitem__, es)) not in members for es in power):
+            return False
     return True
 
 

@@ -61,9 +61,11 @@ vars 3
 constraint R 1 2 3
 """
 
+# R's doubled column first, in a component apart from x1's constant
 R_PERMUTED = """\
-vars 3
-constraint R 2 3 1
+vars 4
+constraint CONST_1 1
+constraint R 3 4 2
 """
 
 
@@ -217,7 +219,8 @@ def test_count_command(tmp_path, capsys):
     assert cli.main(["count", r, rp, "--force"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "count failed: reconstruction failed at pair (1, 2)" in captured.err
+    # the pair is named by instance variables, 0-based as in the Python API
+    assert "count failed: reconstruction failed at pair (2, 3)" in captured.err
 
     o = _file(tmp_path, "o", OR_TEXT)
     oi = _file(tmp_path, "oi", "vars 2\nconstraint OR 1 2\n")

@@ -245,16 +245,17 @@ def test_rank_defect_straight_scope_counts():
 
 
 def test_rank_defect_permuted_scope_is_caught():
-    # R(x2, x3, x1) puts the doubled column first; the (1, 2) quotient has
-    # margins 3,2 / 3,2 over one block of total 5, so no integral
-    # reconstruction exists
+    # R(x3, x4, x2) puts the doubled column first; the quotient at x3, x4
+    # has margins 3,2 / 3,2 over one block of total 5, so no integral
+    # reconstruction exists. x1 is a component of its own, so R's frame
+    # has x3, x4 at positions (1, 2), and the error names the variables.
     st = rank_defect_structure()
     phi = find_maltsev(st)
-    inst = Instance(3, [("R", (1, 2, 0))])
+    inst = Instance(4, [("CONST_1", (0,)), ("R", (2, 3, 1))])
     assert oracle_count(st, inst) == 5
     with pytest.raises(NotBalancedError) as exc:
         count(st, phi, inst)
-    assert "reconstruction failed at pair (1, 2)" in str(exc.value)
+    assert "reconstruction failed at pair (2, 3)" in str(exc.value)
 
 
 def test_balance_matrix():

@@ -220,7 +220,9 @@ def _digest(image):
 # Per quadruple: nodes spent and the first 16 hex digits of the SHA-256 of
 # repr(image table), recorded with the eager search order and digit-wise
 # membership checks that the lazy order and packed masks replaced; diag3's
-# with the full-class candidate scan that digit narrowing replaced.
+# with the full-class candidate scan that digit narrowing replaced;
+# even_parity4's with every tuple through an element checked, before the
+# sweep kept one per symmetry orbit.
 SWEEP_PINS = {
     "xor3": [
         ((0, 0, 0, 1), 64, "b686347032762a6e"),
@@ -292,6 +294,16 @@ SWEEP_PINS = {
         ((2, 2, 2, 0), 729, "5b5fc3770e57c129"),
         ((2, 2, 2, 1), 729, "0dd515157414bfea"),
     ],
+    "even_parity4": [
+        ((0, 0, 0, 1), 64, "b686347032762a6e"),
+        ((0, 0, 1, 0), 212, "98473c9b4e532f11"),
+        ((0, 1, 0, 1), 64, "b686347032762a6e"),
+        ((0, 1, 1, 0), 212, "98473c9b4e532f11"),
+        ((1, 0, 0, 1), 156, "2991e9de471002a2"),
+        ((1, 0, 1, 0), 92, "2991e9de471002a2"),
+        ((1, 1, 0, 1), 156, "2991e9de471002a2"),
+        ((1, 1, 1, 0), 92, "2991e9de471002a2"),
+    ],
 }
 
 
@@ -301,13 +313,72 @@ def test_sweep_steps_and_witnesses(name):
         "xor3": xor3_structure,
         "constants": constants_structure,
         "diag3": lambda: diagonal_structure(3),
+        "even_parity4": even_parity4_structure,
     }[name]()
     _, sweep = _sweep(structure)
     assert [(p.quadruple, used, _digest(image)) for p, used, image in sweep] == SWEEP_PINS[name]
     for pat, _, image in sweep:
-        assert helpers.is_power_automorphism(structure, 6, image)
         assert image[pat.fixed] == pat.fixed
         assert image[pat.source] == pat.target
+    # each distinct image once: even_parity4's 8 quadruples share 3
+    for image in {_digest(image): image for _, _, image in sweep}.values():
+        assert helpers.is_power_automorphism(structure, 6, image)
+
+
+# Relations with fewer symmetries: x <= y has none, the cyclic shifts of
+# (0, 1, 2) only rotations, which no transposition generates, and PAIRS
+# the swaps of positions 0, 3 and of positions 1, 2.
+FEWER_SYMMETRIES = {
+    "leq": RelationalStructure(2, {"LEQ": Relation(2, [(0, 0), (0, 1), (1, 1)])}),
+    "cyclic": RelationalStructure(3, {"CYC": Relation(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])}),
+    "pairs": RelationalStructure(
+        2, {"PAIRS": Relation(4, [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0)])}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, classes",
+    [
+        ("xor3", [[0, 1, 2]]),
+        ("aff3", [[0, 1, 2]]),
+        ("even_parity4", [[0, 1, 2, 3]]),
+        ("leq", [[0], [1]]),
+        ("cyclic", [[0], [1], [2]]),
+        ("pairs", [[0, 3], [1, 2]]),
+    ],
+)
+def test_tuples_through_cover_every_tuple_by_symmetry(name, classes):
+    structure = {
+        "xor3": xor3_structure,
+        "aff3": _affine3_structure,
+        "even_parity4": even_parity4_structure,
+    }.get(name, lambda: FEWER_SYMMETRIES[name])()
+    ctx = _PowerSearchContext(structure, 6)
+    (rel,) = ctx.rels
+    assert ctx.classes == [classes]
+    # positions share a class iff swapping them maps the relation onto itself
+    for i, j in itertools.combinations(range(rel.arity), 2):
+        swap = list(range(rel.arity))
+        swap[i], swap[j] = j, i
+        kept = all(tuple(t[m] for m in swap) in rel for t in rel)
+        assert kept == any(i in c and j in c for c in classes)
+    within = [
+        pi
+        for pi in itertools.permutations(range(rel.arity))
+        if all(any(i in c and pi[i] in c for c in classes) for i in range(rel.arity))
+    ]
+    for x in (0, 1, ctx.size // 3, ctx.size - 2, ctx.size - 1):
+        reps = ctx.tuples_through(x)
+        assert len(set(reps)) == len(reps)
+        assert all(x in elems for _, elems in reps)
+        full = helpers.power_tuples_through(ctx.rels, ctx.q, ctx.k, x)
+        expanded = {(ri, tuple(elems[i] for i in pi)) for ri, elems in reps for pi in within}
+        assert expanded == full
+        if len(within) == 1:
+            assert set(reps) == full
+        else:
+            assert len(reps) < len(full)
 
 
 def test_affine3_timeout_is_pinned_and_enumerates_only_reached_elements():

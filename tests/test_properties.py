@@ -152,14 +152,19 @@ def test_digit_values_factorise_the_packed_check(q, arity, k, data):
 
 
 class _FullScanContext(_PowerSearchContext):
-    """The sweep's kernels before digit narrowing: every tuple through x is
-    tested for closedness afresh, and each candidate pool is x's whole
-    occurrence class, every member tested against every closed check."""
+    """The sweep's kernels before symmetry orbits and digit narrowing: every
+    tuple through x, enumerated by the reference helper, is tested for
+    closedness afresh, and each candidate pool is x's whole occurrence
+    class, every member tested against every closed check."""
+
+    def _incidence(self, x):
+        tuples = sorted(helpers.power_tuples_through(self.rels, self.q, self.k, x))
+        return tuples, sorted({e for _, elems in tuples for e in elems})
 
     def closed_checks(self, x, rank):
         level = rank[x]
         out = []
-        for ri, elems in self.tuples_through(x):
+        for ri, elems in self._incidence(x)[0]:
             if all(rank[e] <= level for e in elems):
                 tables = self.masks[ri]
                 out.append((
@@ -205,7 +210,16 @@ def test_narrowed_pool_searches_as_the_full_class_scan(q, k, data):
     for r in range(data.draw(st.integers(1, 2))):
         arity = data.draw(st.integers(1, 3))
         row = st.tuples(*[st.integers(0, q - 1)] * arity)
-        relations["R%d" % r] = Relation(arity, data.draw(st.lists(row, min_size=1, max_size=9)))
+        rows = set(data.draw(st.lists(row, min_size=1, max_size=9)))
+        # closed under a drawn permutation of positions, so that some
+        # relations have symmetries and the sweep enumerates orbits
+        perm = data.draw(st.permutations(range(arity)))
+        while True:
+            grown = rows | {tuple(t[i] for i in perm) for t in rows}
+            if grown == rows:
+                break
+            rows = grown
+        relations["R%d" % r] = Relation(arity, rows)
     assume(len({v for rel in relations.values() for t in rel for v in t}) >= 2)
     structure = RelationalStructure(q, relations)
     size = structure.domain_size ** k
