@@ -191,6 +191,37 @@ def _affine3_structure():
     return RelationalStructure(3, {"AFF3": Relation(3, triples)})
 
 
+# (structure, max_nodes or None for the default) -> sha256 of the verdict's
+# text, recorded while refute_balance still enumerated every assignment of
+# each formula. xor3 and even_parity4 share a Mal'tsev table and a verdict.
+VERDICT_DIGESTS = {
+    "or": (or_structure, None,
+           "097223858ad1e19245402880f21deccc77f8074ee0e64878c40034cbf489c348"),
+    "disequality3": (lambda: disequality_structure(3), None,
+                     "349e94d02c72fba853a7d186ee90653364ddb6abd6b319695322dbfcf7f02762"),
+    "rank_defect": (rank_defect_structure, None,
+                    "aec4f1aa8c6c42e17d3d9acb70e2159edfd408fcbbb894265acc54a2aec80262"),
+    "constants": (constants_structure, None,
+                  "e52ee658e36f367c038b40288a2ed4506e23a97fd0d844d17421fc8750c1677c"),
+    "xor3": (xor3_structure, None,
+             "9e7a523a02a9a62a4a7ce04a18b0f618ad86a71ff88ca50351e130f302b674c5"),
+    "diagonal3": (lambda: diagonal_structure(3), None,
+                  "f218cdb66c051516215068052d982c207036f0c62f3633d328f477eaa6c8835f"),
+    "even_parity4": (even_parity4_structure, None,
+                     "9e7a523a02a9a62a4a7ce04a18b0f618ad86a71ff88ca50351e130f302b674c5"),
+    "aff3": (_affine3_structure, 1000,
+             "0529a7c99f396f7ac712d82cd5ab2d4d76103020b994cff105573291ee070041"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_DIGESTS))
+def test_verdict_text_digests(name):
+    make, max_nodes, digest = VERDICT_DIGESTS[name]
+    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
+    text = verdict_to_text(decide_strong_balance(make(), **kwargs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _sweep(structure, max_nodes=DEFAULT_SWEEP_NODES):
     """decide_strong_balance's sweep with its results kept: per quadruple
     the pattern, the nodes spent and the image table, or "TIMEOUT" or
