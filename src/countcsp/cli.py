@@ -281,7 +281,7 @@ def cmd_count(args) -> int:
     try:
         value = counting.count(structure, op, instance, verify=verify)
     except NotBalancedError as e:
-        print("count failed: %s" % e, file=sys.stderr)
+        print("count failed: %s" % e.text(1), file=sys.stderr)
         return 1
     print(value)
     return 0

@@ -49,7 +49,16 @@ from .relations import (
 class NotBalancedError(RuntimeError):
     """The counting invariants failed: the language admits a Mal'tsev
     operation but some intermediate matrix is not a rank-one block matrix
-    with consistent margins."""
+    with consistent margins. Arguments: what failed, at which `pair` of
+    instance variables (0-based), and any detail. text(1) counts from 1."""
+
+    pair = property(lambda self: self.args[1])
+
+    def text(self, base: int = 0) -> str:
+        what, (i, j), *detail = self.args
+        return ": ".join(["%s at pair (%d, %d)" % (what, i + base, j + base)] + detail)
+
+    __str__ = text
 
 
 @dataclass(frozen=True)
@@ -188,8 +197,8 @@ def count_frame(
                     for cls in part:
                         if len({stage[v] for v in cls}) != 1:
                             raise NotBalancedError(
-                                "stage counts are not constant on a congruence "
-                                "class at pair (%d, %d)" % (variables[i], variables[j])
+                                "stage counts are not constant on a congruence class",
+                                (variables[i], variables[j]),
                             )
             row_totals = {r: row_counts[r] for r in set(row_rep.values())}
             col_totals = {c: col_counts[c] for c in set(col_rep.values())}
@@ -200,8 +209,7 @@ def count_frame(
                 quotient = reconstruct_rank_one(quotient_blocks, row_totals, col_totals)
             except ReconstructionError as e:
                 raise NotBalancedError(
-                    "reconstruction failed at pair (%d, %d): %s"
-                    % (variables[i], variables[j], e)
+                    "reconstruction failed", (variables[i], variables[j]), str(e)
                 ) from e
             vals = {}
             for x, y in support:

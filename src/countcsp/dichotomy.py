@@ -46,8 +46,14 @@ from .maltsev import (
     encode,
     find_maltsev_with_certificate,
 )
-from .oracle import CapExceededError, balance_matrix
-from .relations import CountMatrix, Instance, RelationalStructure, is_rank_one_block
+from .relations import (
+    CountMatrix,
+    Instance,
+    Relation,
+    RelationalStructure,
+    is_rank_one_block,
+    pair_matrix,
+)
 
 VERDICT_BALANCED = "BALANCED"
 VERDICT_NOT_BALANCED = "NOT_BALANCED"
@@ -55,10 +61,8 @@ VERDICT_NOT_STRONGLY_RECTANGULAR = "NOT_STRONGLY_RECTANGULAR"
 VERDICT_TIMEOUT = "TIMEOUT"
 
 DEFAULT_SWEEP_NODES = 200_000
-# refute_balance tries this many default formulas, and skips a formula whose
-# brute-force enumeration would exceed 2**REFUTATION_CAP_BITS assignments
+# refute_balance tries this many default formulas
 REFUTATION_FORMULAS = 64
-REFUTATION_CAP_BITS = 20
 
 
 class BudgetExhausted(RuntimeError):
@@ -467,41 +471,55 @@ def default_refutation_formulas(structure: RelationalStructure):
     alone, then each ordered pair chained through every overlap width.
     Variable scopes are contiguous; names are for display only."""
 
-    def described(name: str, offset: int, arity: int) -> str:
-        return "%s(%s)" % (name, ",".join("x%d" % (offset + m + 1) for m in range(arity)))
+    def formula(*atoms):
+        # atoms are (relation name, first variable of its scope)
+        cons = [(name, tuple(range(v, v + arity[name]))) for name, v in atoms]
+        desc = " & ".join("%s(x%s)" % (n, ",x".join(str(v + 1) for v in s)) for n, s in cons)
+        return desc, Instance(max(scope[-1] for _, scope in cons) + 1, cons)
 
-    names = sorted(structure.relations)
-    for name in names:
-        r = structure.relations[name].arity
-        yield (described(name, 0, r), Instance(r, ((name, tuple(range(r))),)))
-    for n1 in names:
-        r1 = structure.relations[n1].arity
-        for n2 in names:
-            r2 = structure.relations[n2].arity
-            for overlap in range(1, min(r1, r2) + 1):
-                nv = r1 + r2 - overlap
-                s1 = tuple(range(r1))
-                s2 = tuple(range(r1 - overlap, r1 - overlap + r2))
-                desc = "%s & %s" % (
-                    described(n1, 0, r1),
-                    "%s(%s)" % (n2, ",".join("x%d" % (v + 1) for v in s2)),
-                )
-                yield (desc, Instance(nv, ((n1, s1), (n2, s2))))
+    arity = {name: rel.arity for name, rel in sorted(structure.relations.items())}
+    for name in arity:
+        yield formula((name, 0))
+    for n1 in arity:
+        for n2 in arity:
+            for overlap in range(1, min(arity[n1], arity[n2]) + 1):
+                yield formula((n1, 0), (n2, arity[n1] - overlap))
+
+
+def _join(structure: RelationalStructure, instance: Instance) -> Relation:
+    """Solution set of a formula: a hash join of its constraints in order,
+    each one's tuples indexed on the variables bound before it, then of the
+    whole domain at each variable, which binds those no constraint did."""
+    n = instance.num_vars
+    domain = Relation(1, [(a,) for a in range(structure.domain_size)])
+    joins = [(structure.relation(name), scope) for name, scope in instance.constraints]
+    joins += [(domain, (v,)) for v in range(n)]
+    bound: set = set()
+    rows = [{}]
+    for rel, scope in joins:
+        shared = sorted(bound.intersection(scope))
+        index: dict = {}
+        for t in rel:
+            value = dict(zip(scope, t))
+            if len(value) == len(set(zip(scope, t))):  # repeated variables agree
+                index.setdefault(tuple(value[v] for v in shared), []).append(value)
+        rows = [{**r, **e} for r in rows for e in index.get(tuple(r[v] for v in shared), ())]
+        bound.update(scope)
+    return Relation(n, (tuple(r[v] for v in range(n)) for r in rows))
 
 
 def refute_balance(structure: RelationalStructure) -> Optional[Refutation]:
     """Search small formulas for a pairwise count matrix that is not a
-    rank-one block matrix. Finding one proves the language unbalanced;
+    rank-one block matrix, reading every pair's matrix off the formula's
+    joined solution set. Finding one proves the language unbalanced;
     finding none proves nothing."""
     formulas = default_refutation_formulas(structure)
     for desc, inst in itertools.islice(formulas, REFUTATION_FORMULAS):
-        try:
-            for i, j in itertools.combinations(range(inst.num_vars), 2):
-                m = balance_matrix(structure, inst, i, j, cap_bits=REFUTATION_CAP_BITS)
-                if m.total() and not is_rank_one_block(m):
-                    return Refutation(desc, inst, (i, j), m)
-        except CapExceededError:
-            continue
+        solutions = _join(structure, inst)
+        for i, j in itertools.combinations(range(inst.num_vars), 2):
+            m = pair_matrix(solutions, i, j)
+            if not is_rank_one_block(m):
+                return Refutation(desc, inst, (i, j), m)
     return None
 
 

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
-from .relations import Instance, Partition, Relation, partition_from_groups, project
+from .relations import Instance, Partition, Relation, partition_from_groups
 
 
 class Frame:
@@ -621,19 +621,6 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
                 witness[(a, i)] = k
             remaining -= set(found)
     return shrink_to_small(Frame(n, rows, witness), phi)
-
-
-def add_constraint_split(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> Frame:
-    """Add a constraint through its chain of prefix projections: conjoin the
-    projection onto the first k scope variables for k = 1..arity. Generates
-    the same relation as add_constraint; the intermediate frames differ."""
-    relation, scope = collapse_scope(relation, scope)
-    g = frame
-    for k in range(1, relation.arity + 1):
-        if g.is_empty():
-            return empty_frame(frame.arity)
-        g = add_constraint(g, phi, project(relation, range(k)), scope[:k])
-    return g
 
 
 def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:

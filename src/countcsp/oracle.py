@@ -18,6 +18,7 @@ from .relations import (
     Partition,
     Relation,
     RelationalStructure,
+    pair_matrix,
     partition_from_groups,
 )
 
@@ -116,20 +117,6 @@ def oracle_congruence_pair(relation: Relation, i: int, j: int) -> CongruencePair
     )
 
 
-def pair_matrix(relation: Relation, i: int, j: int) -> CountMatrix:
-    """Count matrix M(x, y) = number of tuples with value x at position i
-    and y at position j."""
-    if not 0 <= i < relation.arity or not 0 <= j < relation.arity or i == j:
-        raise ValueError("positions must be distinct and in range")
-    entries: dict = {}
-    for t in relation:
-        key = (t[i], t[j])
-        entries[key] = entries.get(key, 0) + 1
-    rows = sorted({x for (x, _) in entries})
-    cols = sorted({y for (_, y) in entries})
-    return CountMatrix(rows, cols, entries)
-
-
 def balance_matrix(
     structure: RelationalStructure,
     instance: Instance,
@@ -139,6 +126,5 @@ def balance_matrix(
 ) -> CountMatrix:
     """Pairwise solution-count matrix M(x, y) = number of solutions with
     value x at variable i and y at variable j, by full enumeration. A
-    reference quantity: the fast path never needs it, tests and the
-    balance refuter do."""
+    reference quantity for tests; the balance refuter joins instead."""
     return pair_matrix(enumerate_solutions(structure, instance, cap_bits), i, j)

@@ -8,6 +8,7 @@ entries. Everything here is plain combinatorics with no search in it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -200,6 +201,17 @@ class CountMatrix:
 
     def __repr__(self) -> str:
         return "CountMatrix(%d x %d)" % (len(self.row_labels), len(self.col_labels))
+
+
+def pair_matrix(relation: Relation, i: int, j: int) -> CountMatrix:
+    """Count matrix M(x, y) = number of tuples with value x at position i
+    and y at position j."""
+    if not 0 <= i < relation.arity or not 0 <= j < relation.arity or i == j:
+        raise ValueError("positions must be distinct and in range")
+    entries = Counter((t[i], t[j]) for t in relation)
+    rows = sorted({x for (x, _) in entries})
+    cols = sorted({y for (_, y) in entries})
+    return CountMatrix(rows, cols, entries)
 
 
 def support_blocks(matrix: CountMatrix) -> BlockDecomposition:
@@ -429,17 +441,6 @@ class RelationalStructure:
         if name not in self.relations:
             raise UnknownRelationError(name)
         return self.relations[name]
-
-    def contains(self, name: str, t) -> bool:
-        return tuple(t) in self.relation(name)
-
-    def tuples(self, name: str):
-        return iter(self.relation(name))
-
-    def language_size(self) -> int:
-        """Total tuple-entry count over all relations, equality included."""
-        size = sum(len(r) * r.arity for r in self.relations.values())
-        return size + 2 * self.domain_size
 
     def __repr__(self) -> str:
         return "RelationalStructure(q=%d, relations=%s)" % (

@@ -2,9 +2,9 @@
 
 Nothing here imports the fast-path internals beyond public data types; the
 point is to recompute expected values a second way. The exceptions are
-split_frame, a second constraint-addition path that build_frame's frames are
-compared against, and trace_text, the canonical text that count traces are
-compared and pinned as.
+add_constraint_split and split_frame, a second constraint-addition path that
+build_frame's frames are compared against, and trace_text, the canonical
+text that count traces are compared and pinned as.
 """
 
 from __future__ import annotations
@@ -12,7 +12,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from countcsp import CountMatrix, Relation, add_constraint_split, initial_frame
+from countcsp import (
+    CountMatrix,
+    Relation,
+    add_constraint,
+    collapse_scope,
+    empty_frame,
+    initial_frame,
+    project,
+)
 
 
 def fraction_rank(rows) -> int:
@@ -178,6 +186,19 @@ def is_power_automorphism(structure, k: int, mapping) -> bool:
         if any(tuple(map(mapping.__getitem__, es)) not in members for es in power):
             return False
     return True
+
+
+def add_constraint_split(frame, phi, relation, scope):
+    """Add a constraint through its chain of prefix projections: conjoin the
+    projection onto the first k scope variables for k = 1..arity. Generates
+    the same relation as add_constraint; the intermediate frames differ."""
+    relation, scope = collapse_scope(relation, scope)
+    g = frame
+    for k in range(1, relation.arity + 1):
+        if g.is_empty():
+            return empty_frame(frame.arity)
+        g = add_constraint(g, phi, project(relation, range(k)), scope[:k])
+    return g
 
 
 def split_frame(structure, phi, instance):

@@ -219,8 +219,9 @@ def test_count_command(tmp_path, capsys):
     assert cli.main(["count", r, rp, "--force"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    # the pair is named by instance variables, 0-based as in the Python API
-    assert "count failed: reconstruction failed at pair (2, 3)" in captured.err
+    # the pair is named by file variables, 1-based as in the instance file;
+    # the Python API names the same pair (2, 3)
+    assert "count failed: reconstruction failed at pair (3, 4)" in captured.err
 
     o = _file(tmp_path, "o", OR_TEXT)
     oi = _file(tmp_path, "oi", "vars 2\nconstraint OR 1 2\n")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from countcsp import (
     RelationalStructure,
     SearchBudget,
     decide_strong_balance,
+    enumerate_solutions,
     find_automorphism,
     patterns,
     refute_balance,
@@ -21,7 +23,9 @@ from countcsp.dichotomy import (
     VERDICT_NOT_BALANCED,
     VERDICT_NOT_STRONGLY_RECTANGULAR,
     VERDICT_TIMEOUT,
+    _join,
     _PowerSearchContext,
+    default_refutation_formulas,
 )
 from countcsp.fixtures import (
     constants_structure,
@@ -220,6 +224,34 @@ def test_verdict_text_digests(name):
     kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
     text = verdict_to_text(decide_strong_balance(make(), **kwargs))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_DIGESTS))
+def test_join_equals_enumeration_on_every_default_formula(name):
+    structure = VERDICT_DIGESTS[name][0]()
+    for _, inst in default_refutation_formulas(structure):
+        assert _join(structure, inst) == enumerate_solutions(structure, inst)
+
+
+def test_join_with_repeated_and_free_variables():
+    st = xor3_structure()
+    for inst, size in (
+        (Instance(5, [("XOR3", (3, 1, 3)), ("XOR3", (1, 0, 3)), ("EQ", (4, 0))]), 4),
+        (Instance(4, [("XOR3", (1, 1, 1))]), 8),
+        (Instance(2, []), 4),
+    ):
+        joined = _join(st, inst)
+        assert joined == enumerate_solutions(st, inst)
+        assert len(joined) == size
+
+
+def test_all_equal_arity9_is_balanced_in_seconds():
+    # refute_balance used to enumerate each formula's assignments once per
+    # variable pair, 2**17 of them per pair for the chained formulas: 86 s
+    st = RelationalStructure(2, {"ALLEQ": Relation(9, [(0,) * 9, (1,) * 9])})
+    start = time.perf_counter()
+    assert decide_strong_balance(st).kind == VERDICT_BALANCED
+    assert time.perf_counter() - start < 5
 
 
 def _sweep(structure, max_nodes=DEFAULT_SWEEP_NODES):

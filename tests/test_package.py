@@ -47,7 +47,7 @@ def _package_imports(module: str) -> dict:
 
 def test_the_oracle_depends_on_relations_only():
     assert set(_package_imports("oracle")) <= {"relations"}
-    for module in ("frames", "maltsev", "relations"):
+    for module in ("dichotomy", "frames", "maltsev", "relations"):
         assert "oracle" not in _package_imports(module), module
     assert _package_imports("counting").get("oracle", set()) <= PASSTHROUGH
     used = {n.id for n in ast.walk(_tree("counting")) if isinstance(n, ast.Name)}
