@@ -475,7 +475,7 @@ def default_refutation_formulas(structure: RelationalStructure):
         # atoms are (relation name, first variable of its scope)
         cons = [(name, tuple(range(v, v + arity[name]))) for name, v in atoms]
         desc = " & ".join("%s(x%s)" % (n, ",x".join(str(v + 1) for v in s)) for n, s in cons)
-        return desc, Instance(max(scope[-1] for _, scope in cons) + 1, cons)
+        return desc, Instance(max(s[-1] for _, s in cons) + 1, cons)
 
     arity = {name: rel.arity for name, rel in sorted(structure.relations.items())}
     for name in arity:

@@ -256,6 +256,7 @@ def test_rank_defect_permuted_scope_is_caught():
     with pytest.raises(NotBalancedError) as exc:
         count(st, phi, inst)
     assert "reconstruction failed at pair (2, 3)" in str(exc.value)
+    assert exc.value.pair == (2, 3)
 
 
 def test_balance_matrix():
