@@ -16,9 +16,9 @@ Python API underneath is 0-based. The names EQ and CONST_<a> are reserved
 for the built-in equality and constant relations.
 
 Exit codes: 0 success / SAT / FP, 1 UNSAT / #P-complete / failed check,
-2 analysis timeout, 64 unreadable or malformed input or a negative
---max-nodes, 65 refused precondition. Results go to stdout, diagnostics
-to stderr.
+2 analysis timeout, 64 unreadable or malformed input, a negative
+--max-nodes or an unwritable --dump-frame path, 65 refused precondition.
+Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -236,7 +236,10 @@ def cmd_decide(args) -> int:
         return 65
     frame = build_frame(structure, op, instance)
     if args.dump_frame:
-        Path(args.dump_frame).write_text(dump(frame))
+        try:
+            Path(args.dump_frame).write_text(dump(frame))
+        except OSError as e:
+            raise CliParseError("cannot write %s: %s" % (args.dump_frame, e))
     if frame.is_empty():
         print("UNSAT")
         return 1

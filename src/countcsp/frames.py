@@ -23,7 +23,7 @@ from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
-from .relations import Instance, Partition, Relation, partition_from_groups
+from .relations import Instance, Partition, Relation
 
 
 class Frame:
@@ -99,18 +99,6 @@ def empty_frame(arity: int) -> Frame:
     return Frame(arity, (), {})
 
 
-def _maltsev_perms(a: int, b: int, c: int):
-    # arrangements of the index multiset {a >= b >= c} whose middle entry
-    # differs from both outer ones
-    if a == b:
-        if b == c:
-            return ()
-        return ((a, c, a),)
-    if b == c:
-        return ((b, a, b),)
-    return ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
-
-
 def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     """Close a tuple set under phi, tracking only the projection onto the
     given positions; returns full tuples, one per projection value reached.
@@ -122,9 +110,12 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     The projection of the result equals the projection of the full closure.
 
     Projections are packed into base-q codes (maltsev.encode), and phi on
-    them is one lookup in phi.power_table(|indices|). When q^|indices|
-    exceeds maltsev.POWER_TABLE_MAX_CODES (81) there is no table, and the
-    same loop runs on tuples; both give the same list in the same order.
+    them is one lookup in phi.power_table(|indices|). Triples of found codes
+    are tried in a fixed order: for each newest index j1 = 1, 2, ... and
+    each j2 < j1, every j3 < j2 in all six arrangements of (j1, j2, j3),
+    then (j2, j1, j2); after the j2 loop, every (j1, j3, j1) with j3 < j1.
+    An arrangement whose middle index repeats an outer one is skipped:
+    phi(x, x, y) = y and phi(y, x, x) = y find nothing new.
     An index that is negative or not below the first row's length raises
     ValueError.
     """
@@ -136,30 +127,27 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     if idx[0] < 0 or (rows and idx[-1] >= len(rows[0])):
         raise ValueError("projection indices %r out of range" % (idx,))
     table = phi.power_table(len(idx))
-    if table is None:
-        return _closure_tuples(rows, phi, idx)
     q = phi.q
     Q = q ** len(idx)
     full: list = []
     codes: list = []
-    seen = bytearray(Q)
+    seen: set = set()
     for t in rows:
         c = encode([t[i] for i in idx], q)
-        if not seen[c]:
-            seen[c] = 1
+        if c not in seen:
+            seen.add(c)
             full.append(tuple(t))
             codes.append(c)
             if len(codes) == Q:
                 return full
 
     def grow(u: int, k1: int, k2: int, k3: int) -> bool:
-        seen[u] = 1
+        seen.add(u)
         full.append(apply(phi, full[k1], full[k2], full[k3]))
         codes.append(u)
         return len(codes) == Q
 
-    # The triples j1 >= j2 >= j3 of _closure_tuples, in its order, with the
-    # arrangements of _maltsev_perms written out.
+    # the docstring's order; the loop also reaches the codes it appends
     j1 = 1
     while j1 < len(codes):
         x1 = codes[j1]
@@ -168,65 +156,30 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
             for j3 in range(j2):
                 x3 = codes[j3]
                 u = table[(x1 * Q + x2) * Q + x3]
-                if not seen[u] and grow(u, j1, j2, j3):
+                if u not in seen and grow(u, j1, j2, j3):
                     return full
                 u = table[(x1 * Q + x3) * Q + x2]
-                if not seen[u] and grow(u, j1, j3, j2):
+                if u not in seen and grow(u, j1, j3, j2):
                     return full
                 u = table[(x2 * Q + x1) * Q + x3]
-                if not seen[u] and grow(u, j2, j1, j3):
+                if u not in seen and grow(u, j2, j1, j3):
                     return full
                 u = table[(x2 * Q + x3) * Q + x1]
-                if not seen[u] and grow(u, j2, j3, j1):
+                if u not in seen and grow(u, j2, j3, j1):
                     return full
                 u = table[(x3 * Q + x1) * Q + x2]
-                if not seen[u] and grow(u, j3, j1, j2):
+                if u not in seen and grow(u, j3, j1, j2):
                     return full
                 u = table[(x3 * Q + x2) * Q + x1]
-                if not seen[u] and grow(u, j3, j2, j1):
+                if u not in seen and grow(u, j3, j2, j1):
                     return full
             u = table[(x2 * Q + x1) * Q + x2]
-            if not seen[u] and grow(u, j2, j1, j2):
+            if u not in seen and grow(u, j2, j1, j2):
                 return full
         for j3 in range(j1):
             u = table[(x1 * Q + codes[j3]) * Q + x1]
-            if not seen[u] and grow(u, j1, j3, j1):
+            if u not in seen and grow(u, j1, j3, j1):
                 return full
-        j1 += 1
-    return full
-
-
-def _closure_tuples(rows: Iterable[tuple], phi: MaltsevOp, idx: tuple) -> list:
-    """closure_project on projected tuples, for projections too wide for a
-    power table; idx is sorted and duplicate-free."""
-    table = phi.table
-    q = phi.q
-    full: list = []
-    proj: list = []
-    seen: set = set()
-    for t in rows:
-        p = tuple(t[i] for i in idx)
-        if p not in seen:
-            seen.add(p)
-            full.append(tuple(t))
-            proj.append(p)
-    limit = q ** len(idx)
-    j1 = 1
-    while j1 < len(proj) < limit:
-        for j2 in range(j1 + 1):
-            for j3 in range(j2 + 1):
-                for k1, k2, k3 in _maltsev_perms(j1, j2, j3):
-                    pa, pb, pc = proj[k1], proj[k2], proj[k3]
-                    u = tuple(
-                        table[(x * q + y) * q + z]
-                        for x, y, z in zip(pa, pb, pc)
-                    )
-                    if u not in seen:
-                        seen.add(u)
-                        full.append(apply(phi, full[k1], full[k2], full[k3]))
-                        proj.append(u)
-                        if len(proj) >= limit:
-                            return full
         j1 += 1
     return full
 
@@ -294,42 +247,6 @@ def initial_frame(n: int, q: int) -> Frame:
     for p in range(n):
         f = _insert_free(f, p, q)
     return f
-
-
-def frame_from_rows(arity: int, rows: Iterable[tuple]) -> Frame:
-    """Adopt an explicit tuple set as a frame of the relation it generates.
-
-    Valid only when, at every position, each shared-prefix class has some
-    single prefix covering all of its values (true for any strongly
-    rectangular relation given all of its rows, and for hand-built frames);
-    otherwise raises ValueError.
-    """
-    rows = sorted(set(tuple(r) for r in rows))
-    if not rows:
-        return empty_frame(arity)
-    for r in rows:
-        if len(r) != arity:
-            raise ValueError("row %r does not have arity %d" % (r, arity))
-    index = {r: k for k, r in enumerate(rows)}
-    witness: dict = {}
-    for i in range(arity):
-        by_prefix: dict = {}
-        for r in rows:
-            by_prefix.setdefault(r[:i], set()).add(r[i])
-        classes = partition_from_groups(by_prefix.values())
-        for cls in classes:
-            cover = sorted(
-                prefix for prefix, vals in by_prefix.items() if vals >= cls
-            )
-            if not cover:
-                raise ValueError(
-                    "rows are not a frame: no common prefix covers class %s "
-                    "at position %d" % (sorted(cls), i)
-                )
-            v = cover[0]
-            for a in cls:
-                witness[(a, i)] = index[min(r for r in rows if r[:i] == v and r[i] == a)]
-    return Frame(arity, rows, witness)
 
 
 def member(frame: Frame, phi: MaltsevOp, t: Sequence[int]) -> bool:

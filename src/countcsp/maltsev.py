@@ -16,8 +16,9 @@ from typing import Iterable, Mapping
 
 from .relations import Relation, RelationalStructure
 
-# Largest code space q**k that power_table serves: a table holds Q**3 bytes
-# (531,441 at the cap) and every code fits in one byte.
+# Largest code space q**k that power_table serves from a byte table: a table
+# holds Q**3 bytes (531,441 at the cap) and every code fits in one byte.
+# Wider code spaces are served chunk by chunk from the widest byte table.
 POWER_TABLE_MAX_CODES = 81
 
 
@@ -56,13 +57,14 @@ class MaltsevOp:
     def __call__(self, a: int, b: int, c: int) -> int:
         return self.table[(a * self.q + b) * self.q + c]
 
-    def power_table(self, k: int) -> bytearray | None:
+    def power_table(self, k: int) -> bytearray | _WideTable:
         """The operation acting coordinatewise on k-digit codes (see encode).
 
         Entry (a*Q + b)*Q + c of the returned table, Q = q**k, is the code
-        of the image of the digit strings coded a, b and c. Returns None when
-        Q exceeds POWER_TABLE_MAX_CODES. The table is shared by every caller
-        and must not be modified.
+        of the image of the digit strings coded a, b and c. Up to
+        POWER_TABLE_MAX_CODES codes it is a bytearray; above, a _WideTable
+        indexed the same way. Either is built on first use, shared by every
+        caller and must not be modified.
         """
         t = self._powers.get(k)
         if t is not None:
@@ -71,7 +73,8 @@ class MaltsevOp:
             raise ValueError("power must be nonnegative")
         q = self.q
         if q**k > POWER_TABLE_MAX_CODES:
-            return None
+            t = self._powers[k] = _WideTable(self, q**k)
+            return t
         # Split each code into its leading digit and a (k-1)-digit rest. For
         # fixed a and b the row over c is q blocks, one per leading digit c0
         # of c: the rest table's row for (a_rest, b_rest) with every code
@@ -105,6 +108,43 @@ class MaltsevOp:
 
     def __repr__(self):
         return "MaltsevOp(q=%d)" % self.q
+
+
+class _WideTable:
+    """power_table(k) above POWER_TABLE_MAX_CODES codes: the same indexing,
+    phi applied chunk by chunk. Each code splits into base-B chunks, B the
+    code space of the widest byte table (or q, through op.table, when q
+    itself exceeds the cap), and each triple of chunks is one lookup there.
+    Chunks are taken from the least significant end until all three codes
+    run out; the leading zero chunks left need no lookup because
+    phi(0, 0, 0) = 0."""
+
+    __slots__ = ("Q", "B", "table")
+
+    def __init__(self, op: MaltsevOp, Q: int):
+        q = op.q
+        if q > POWER_TABLE_MAX_CODES:
+            self.B, self.table = q, op.table
+        else:
+            k = 1
+            while q ** (k + 1) <= POWER_TABLE_MAX_CODES:
+                k += 1
+            self.B, self.table = q**k, op.power_table(k)
+        self.Q = Q
+
+    def __getitem__(self, key: int) -> int:
+        B, table = self.B, self.table
+        a, c = divmod(key, self.Q)
+        a, b = divmod(a, self.Q)
+        out = 0
+        scale = 1
+        while a or b or c:
+            a, x = divmod(a, B)
+            b, y = divmod(b, B)
+            c, z = divmod(c, B)
+            out += table[(x * B + y) * B + z] * scale
+            scale *= B
+        return out
 
 
 def free_entries(q: int):

@@ -3,7 +3,9 @@
 Nothing here imports the fast-path internals beyond public data types; the
 point is to recompute expected values a second way. The exceptions are
 add_constraint_split and split_frame, a second constraint-addition path that
-build_frame's frames are compared against, and trace_text, the canonical
+build_frame's frames are compared against; _closure_tuples, the tuple loop
+that closure_project's output order is compared against; frame_from_rows,
+which adopts explicit tuple sets as frames; and trace_text, the canonical
 text that count traces are compared and pinned as.
 """
 
@@ -11,14 +13,19 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterable
 
 from countcsp import (
     CountMatrix,
+    Frame,
+    MaltsevOp,
     Relation,
     add_constraint,
+    apply,
     collapse_scope,
     empty_frame,
     initial_frame,
+    partition_from_groups,
     project,
 )
 
@@ -209,3 +216,87 @@ def split_frame(structure, phi, instance):
     for name, scope in instance.constraints:
         f = add_constraint_split(f, phi, structure.relation(name), scope)
     return f
+
+
+def _maltsev_perms(a: int, b: int, c: int):
+    # arrangements of the index multiset {a >= b >= c} whose middle entry
+    # differs from both outer ones
+    if a == b:
+        if b == c:
+            return ()
+        return ((a, c, a),)
+    if b == c:
+        return ((b, a, b),)
+    return ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
+
+
+def _closure_tuples(rows: Iterable[tuple], phi: MaltsevOp, idx: tuple) -> list:
+    """closure_project's order reference: the same triple order on projected
+    tuples, phi applied digit by digit through op.table; idx is sorted and
+    duplicate-free."""
+    table = phi.table
+    q = phi.q
+    full: list = []
+    proj: list = []
+    seen: set = set()
+    for t in rows:
+        p = tuple(t[i] for i in idx)
+        if p not in seen:
+            seen.add(p)
+            full.append(tuple(t))
+            proj.append(p)
+    limit = q ** len(idx)
+    j1 = 1
+    while j1 < len(proj) < limit:
+        for j2 in range(j1 + 1):
+            for j3 in range(j2 + 1):
+                for k1, k2, k3 in _maltsev_perms(j1, j2, j3):
+                    pa, pb, pc = proj[k1], proj[k2], proj[k3]
+                    u = tuple(
+                        table[(x * q + y) * q + z]
+                        for x, y, z in zip(pa, pb, pc)
+                    )
+                    if u not in seen:
+                        seen.add(u)
+                        full.append(apply(phi, full[k1], full[k2], full[k3]))
+                        proj.append(u)
+                        if len(proj) >= limit:
+                            return full
+        j1 += 1
+    return full
+
+
+def frame_from_rows(arity: int, rows: Iterable[tuple]) -> Frame:
+    """Adopt an explicit tuple set as a frame of the relation it generates.
+
+    Valid only when, at every position, each shared-prefix class has some
+    single prefix covering all of its values (true for any strongly
+    rectangular relation given all of its rows, and for hand-built frames);
+    otherwise raises ValueError.
+    """
+    rows = sorted(set(tuple(r) for r in rows))
+    if not rows:
+        return empty_frame(arity)
+    for r in rows:
+        if len(r) != arity:
+            raise ValueError("row %r does not have arity %d" % (r, arity))
+    index = {r: k for k, r in enumerate(rows)}
+    witness: dict = {}
+    for i in range(arity):
+        by_prefix: dict = {}
+        for r in rows:
+            by_prefix.setdefault(r[:i], set()).add(r[i])
+        classes = partition_from_groups(by_prefix.values())
+        for cls in classes:
+            cover = sorted(
+                prefix for prefix, vals in by_prefix.items() if vals >= cls
+            )
+            if not cover:
+                raise ValueError(
+                    "rows are not a frame: no common prefix covers class %s "
+                    "at position %d" % (sorted(cls), i)
+                )
+            v = cover[0]
+            for a in cls:
+                witness[(a, i)] = index[min(r for r in rows if r[:i] == v and r[i] == a)]
+    return Frame(arity, rows, witness)

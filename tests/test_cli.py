@@ -247,6 +247,17 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "no such relation" in capsys.readouterr().err
 
 
+def test_unwritable_dump_path_is_an_input_error(tmp_path, capsys):
+    s = _file(tmp_path, "s", XOR3_TEXT)
+    i = _file(tmp_path, "i", XOR_INSTANCE)
+    target = tmp_path / "missing" / "f.txt"
+    assert cli.main(["decide", s, i, "--dump-frame", str(target)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s: " % target)
+    assert not target.parent.exists()
+
+
 def test_negative_node_budget_is_an_input_error(tmp_path, capsys):
     s = _file(tmp_path, "s", XOR3_TEXT)
     i = _file(tmp_path, "i", XOR_INSTANCE)

@@ -8,6 +8,7 @@ import pytest
 from countcsp import (
     Frame,
     Instance,
+    MaltsevOp,
     Relation,
     SectionCache,
     add_constraint,
@@ -17,7 +18,6 @@ from countcsp import (
     dump,
     find_maltsev,
     fix_prefix,
-    frame_from_rows,
     initial_frame,
     member,
     shrink_to_small,
@@ -27,11 +27,17 @@ from countcsp.fixtures import (
     constants_structure,
     diagonal_structure,
     random_instance,
+    rank_defect_structure,
     xor3_structure,
 )
-from countcsp.frames import _closure_tuples
 from countcsp.maltsev import POWER_TABLE_MAX_CODES
-from helpers import brute_solutions, naive_maltsev_closure, split_frame
+from helpers import (
+    _closure_tuples,
+    brute_solutions,
+    frame_from_rows,
+    naive_maltsev_closure,
+    split_frame,
+)
 
 XOR3 = xor3_structure()
 MIN2 = find_maltsev(XOR3)
@@ -60,7 +66,7 @@ def test_span_and_position_classes_raise_typed_errors():
 
 
 def test_closure_project_matches_naive_fixpoint():
-    # Arity up to 6 reaches projections too wide for a power table (q=3,
+    # Arity up to 6 reaches projections too wide for a byte table (q=3,
     # five or more indices). The reference closes the projected rows, which
     # is the projection of the closure since phi acts coordinatewise; the
     # cubic fixpoint on whole 6-ary rows takes tens of seconds.
@@ -78,19 +84,31 @@ def test_closure_project_matches_naive_fixpoint():
         assert got == naive_maltsev_closure({tuple(t[i] for i in idx) for t in rows}, op)
 
 
+def _affine_op(q: int) -> MaltsevOp:
+    return MaltsevOp(q, [(x - y + z) % q for x in range(q) for y in range(q) for z in range(q)])
+
+
 def test_closure_project_packed_path_matches_tuple_loop():
+    # About a third of the cases have more codes than a byte table (q=3 at
+    # five indices, q=7 at three, q=10 at two, q=83 at one). A closure's
+    # time is cubic in its size, so those get at most two seed rows; two
+    # distinct seeds under x - y + z mod 83 still span a line of 83 codes,
+    # so that operation gets a dozen cases of arity at most 3.
     rng = random.Random(5)
-    for _ in range(300):
-        op = MIN2 if rng.random() < 0.5 else OP3
+    rd7 = find_maltsev(rank_defect_structure())
+    aff10 = _affine_op(10)
+    cases = [rng.choice((MIN2, OP3, rd7, aff10)) for _ in range(300)]
+    cases += [_affine_op(83)] * 12
+    for op in cases:
         q = op.q
-        arity = rng.randint(1, 6)
+        arity = rng.randint(1, 3 if q > 81 else 7)
+        idx = rng.sample(range(arity), rng.randint(1, arity))
+        idx.append(rng.choice(idx))
+        wide = q ** len(set(idx)) > POWER_TABLE_MAX_CODES
         rows = [
             tuple(rng.randrange(q) for _ in range(arity))
-            for _ in range(rng.randint(1, 12))
+            for _ in range(rng.randint(1, 2 if wide else 12))
         ]
-        idx = [rng.randrange(arity) for _ in range(rng.randint(1, arity))]
-        if q ** len(set(idx)) > POWER_TABLE_MAX_CODES:
-            continue
         want = _closure_tuples(rows, op, tuple(sorted(set(idx))))
         assert closure_project(rows, op, idx) == want
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -67,8 +68,17 @@ def test_power_table_matches_coordinatewise_apply():
             )
             assert table == want
             assert op.power_table(k) is table
+        # past the byte tables: the same indexing, checked on random triples
         assert q ** (kmax + 1) > POWER_TABLE_MAX_CODES
-        assert op.power_table(kmax + 1) is None
+        rng = random.Random(q)
+        for k in (kmax + 1, kmax + 2):
+            table = op.power_table(k)
+            Q = q**k
+            for _ in range(200):
+                a, b, c = ([rng.randrange(q) for _ in range(k)] for _ in range(3))
+                key = (encode(a, q) * Q + encode(b, q)) * Q + encode(c, q)
+                assert table[key] == encode(apply(op, a, b, c), q)
+            assert op.power_table(k) is table
 
 
 def test_xor3_gets_minority():

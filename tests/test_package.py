@@ -1,5 +1,6 @@
 """Package-level checks: the public name list, the import layering between
-modules, unused imports, and the demos running end to end."""
+modules, unused imports, where the byte-table cap is read, and the demos
+running end to end."""
 
 import ast
 import os
@@ -52,6 +53,20 @@ def test_the_oracle_depends_on_relations_only():
     assert _package_imports("counting").get("oracle", set()) <= PASSTHROUGH
     used = {n.id for n in ast.walk(_tree("counting")) if isinstance(n, ast.Name)}
     assert not PASSTHROUGH & used
+
+
+def test_only_maltsev_names_the_byte_table_cap():
+    # how phi acts on packed codes of any width is decided in maltsev alone
+    for module in MODULES:
+        names: set = set()
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+        assert ("POWER_TABLE_MAX_CODES" in names) == (module == "maltsev"), module
 
 
 def _unused_imports(module: str) -> set:
