@@ -17,7 +17,8 @@ for the built-in equality and constant relations.
 
 Exit codes: 0 success / SAT / FP, 1 UNSAT / #P-complete / failed check,
 2 analysis timeout, 64 unreadable or malformed input, a negative
---max-nodes or an unwritable --dump-frame path, 65 refused precondition.
+--max-nodes, --trials or --cap, or an unwritable --dump-frame path,
+65 refused precondition.
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -384,8 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "max_nodes", 0) < 0:
-            raise CliParseError("--max-nodes must be non-negative, got %d" % args.max_nodes)
+        for flag in ("max_nodes", "trials", "cap"):
+            if getattr(args, flag, 0) < 0:
+                raise CliParseError(
+                    "--%s must be non-negative, got %d"
+                    % (flag.replace("_", "-"), getattr(args, flag))
+                )
         return args.func(args)
     except CliParseError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -202,9 +202,15 @@ def count_frame(
                             )
             row_totals = {r: row_counts[r] for r in set(row_rep.values())}
             col_totals = {c: col_counts[c] for c in set(col_rep.values())}
-            # The union-find runs on the quotient support, which has one
-            # vertex per class rather than per value.
+            # The quotient support has one vertex per class; its blocks are
+            # its rows grouped by column set, None if they are not complete.
             quotient_blocks = _bipartite_blocks({(row_rep[x], col_rep[y]) for x, y in support})
+            if quotient_blocks is None:
+                raise NotBalancedError(
+                    "reconstruction failed",
+                    (variables[i], variables[j]),
+                    "the quotient support is not a union of complete blocks",
+                )
             try:
                 quotient = reconstruct_rank_one(quotient_blocks, row_totals, col_totals)
             except ReconstructionError as e:

@@ -51,6 +51,7 @@ from .relations import (
     Instance,
     Relation,
     RelationalStructure,
+    collapse_scope,
     is_rank_one_block,
     pair_matrix,
 )
@@ -331,8 +332,9 @@ class _PowerSearchContext:
         undoing every deeper step, so assignment and used read the same as
         at the first call.
 
-        The checks, in turn, narrow the values each digit of an image may
-        take, until every digit has at most one left. When the product of
+        Each check's AND over the assigned elements is taken once. In turn,
+        they narrow the values each digit of an image may take, until every
+        digit has at most one left. When the product of
         those values is smaller than x's class, it is the pool, read in
         lexicographic, hence ascending, order; each of its elements passes
         the checks read so far, so only the rest are tested."""
@@ -340,17 +342,17 @@ class _PowerSearchContext:
         occ_id = self.occ_id
         cid = occ_id[x]
         pool: Iterable = self.class_members[cid]
-        rest = iter(checks)
         partial = []
+        for _, at_x, others in checks:
+            acc = -1
+            for table, e in others:
+                acc &= table[assignment[e]]
+            partial.append((acc, at_x))
         if x in fixes:
             pool = (fixes[x],)
         elif checks:
             allowed = [(1 << self.q) - 1] * k
-            for values, at_x, others in rest:
-                acc = -1
-                for table, e in others:
-                    acc &= table[assignment[e]]
-                partial.append((acc, at_x))
+            for read, ((values, _, _), (acc, _)) in enumerate(zip(checks, partial), 1):
                 block = values.block
                 allowed = [
                     a & values[acc >> s & block] for a, s in zip(allowed, values.shifts)
@@ -363,12 +365,7 @@ class _PowerSearchContext:
                     for w, a in zip(self.weights, allowed)
                 ]
                 pool = map(sum, itertools.product(*per_digit))
-                partial = []
-        for values, at_x, others in rest:
-            acc = -1
-            for table, e in others:
-                acc &= table[assignment[e]]
-            partial.append((acc, at_x))
+                partial = partial[read:]
         for f in pool:
             if f in used or occ_id[f] != cid:
                 continue
@@ -497,12 +494,12 @@ def _join(structure: RelationalStructure, instance: Instance) -> Relation:
     bound: set = set()
     rows = [{}]
     for rel, scope in joins:
+        rel, scope = collapse_scope(rel, scope)
         shared = sorted(bound.intersection(scope))
         index: dict = {}
         for t in rel:
             value = dict(zip(scope, t))
-            if len(value) == len(set(zip(scope, t))):  # repeated variables agree
-                index.setdefault(tuple(value[v] for v in shared), []).append(value)
+            index.setdefault(tuple(value[v] for v in shared), []).append(value)
         rows = [{**r, **e} for r in rows for e in index.get(tuple(r[v] for v in shared), ())]
         bound.update(scope)
     return Relation(n, (tuple(r[v] for v in range(n)) for r in rows))

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
-from .relations import Instance, Partition, Relation
+from .relations import Instance, Partition, Relation, collapse_scope
 
 
 class Frame:
@@ -32,12 +32,13 @@ class Frame:
     The empty frame (no rows) generates the empty relation; an arity-0 frame
     with one empty row represents the relation containing the empty tuple.
     Frames are never mutated, so their shared-prefix groups are computed at
-    most once.
+    most once. `rows` may be a dict from row to index built in index order,
+    as the frame builders intern their rows.
     """
 
     __slots__ = ("arity", "rows", "witness", "_groups")
 
-    def __init__(self, arity: int, rows: Sequence[tuple], witness: Mapping):
+    def __init__(self, arity: int, rows: Iterable[tuple], witness: Mapping):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         rows = tuple(tuple(r) for r in rows)
@@ -184,6 +185,20 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     return full
 
 
+def _swap_in(frame: Frame, phi: MaltsevOp, t: tuple, i: int, values) -> dict:
+    """The exchange step of every witness walk: each b of `values`, which
+    share t[i]'s shared-prefix class at i, mapped to a tuple of the
+    generated relation with b at i and t's i-prefix. That is t itself for
+    b == t[i], else phi(t, w(t[i]), w(b)) for witness rows w: the two
+    witnesses agree on [:i], so phi keeps t there, and at i it gives b."""
+    a = t[i]
+    g = frame.witness_row(a, i)
+    out: dict = {}
+    for b in values:
+        out[b] = t if b == a else apply(phi, t, g, frame.witness_row(b, i))
+    return out
+
+
 def span(frame: Frame, phi: MaltsevOp) -> Relation:
     """Materialize the generated relation. Exponential in general; meant for
     small frames, demos, and tests.
@@ -198,17 +213,14 @@ def span(frame: Frame, phi: MaltsevOp) -> Relation:
     """
     if frame.arity < 1:
         raise ValueError("span needs positive arity")
-    rows, w = frame.rows, frame.witness
-    level = [rows[w[(a, 0)]] for a in frame.projection(0)]
+    level = [frame.witness_row(a, 0) for a in frame.projection(0)]
     for i in range(1, frame.arity):
         class_of = {a: cls for cls in frame.prefix_groups()[i].values() for a in cls}
         nxt = []
         for t in level:
-            if (t[i], i) not in w:
+            if (t[i], i) not in frame.witness:
                 raise ValueError("no witness for value %r at position %d" % (t[i], i))
-            g = rows[w[(t[i], i)]]
-            for b in class_of[t[i]]:
-                nxt.append(t if b == t[i] else apply(phi, t, g, rows[w[(b, i)]]))
+            nxt.extend(_swap_in(frame, phi, t, i, class_of[t[i]]).values())
         level = nxt
     return Relation(frame.arity, level)
 
@@ -300,33 +312,18 @@ def shrink_to_small(frame: Frame, phi: MaltsevOp) -> Frame:
     if n == 0:
         return Frame(0, ((),), {})
     f = frame.rows[0]
-    rows: list = [f]
-    seen: dict = {f: 0}
+    rows: dict = {f: 0}  # row -> index, in index order
     witness: dict = {}
-
-    def add(row: tuple) -> int:
-        k = seen.get(row)
-        if k is None:
-            k = len(rows)
-            rows.append(row)
-            seen[row] = k
-        return k
-
     groups = frame.prefix_groups()
     for i in range(n):
-        g = frame.witness_row(f[i], i)
-        pivot_prefix = g[:i]
+        pivot_prefix = frame.witness_row(f[i], i)[:i]
         for prefix, members in groups[i].items():
             if prefix == pivot_prefix:
-                for a in sorted(members):
-                    if a == f[i]:
-                        witness[(a, i)] = 0
-                    else:
-                        h = frame.witness_row(a, i)
-                        witness[(a, i)] = add(apply(phi, f, g, h))
+                for a, row in _swap_in(frame, phi, f, i, sorted(members)).items():
+                    witness[(a, i)] = rows.setdefault(row, len(rows))
             else:
                 for a in sorted(members):
-                    witness[(a, i)] = add(frame.witness_row(a, i))
+                    witness[(a, i)] = rows.setdefault(frame.witness_row(a, i), len(rows))
     return Frame(n, rows, witness)
 
 
@@ -359,8 +356,7 @@ def _fix_first(frame: Frame, phi: MaltsevOp, a: int, pairs: list) -> Frame:
     if n == 1:
         return Frame(0, ((),), {})
     groups = frame.prefix_groups()
-    rows: list = []
-    seen: dict = {}
+    rows: dict = {}  # row -> index, in index order
     witness: dict = {}
     for i in range(1, n):
         present = pairs[i].get(a, {})
@@ -368,20 +364,8 @@ def _fix_first(frame: Frame, phi: MaltsevOp, a: int, pairs: list) -> Frame:
             hit = sorted(b for b in members if b in present)
             if not hit:
                 continue
-            t_ab = present[hit[0]]
-            g = frame.witness_row(hit[0], i)
-            for c in sorted(members):
-                if c == hit[0]:
-                    w = t_ab[1:]
-                else:
-                    h = frame.witness_row(c, i)
-                    w = apply(phi, t_ab, g, h)[1:]
-                k = seen.get(w)
-                if k is None:
-                    k = len(rows)
-                    rows.append(w)
-                    seen[w] = k
-                witness[(c, i - 1)] = k
+            for c, t in _swap_in(frame, phi, present[hit[0]], i, sorted(members)).items():
+                witness[(c, i - 1)] = rows.setdefault(t[1:], len(rows))
     return Frame(n - 1, rows, witness)
 
 
@@ -436,36 +420,6 @@ class SectionCache:
         return self._pairs_at(values, self.get(values))
 
 
-def collapse_scope(relation: Relation, scope: Sequence[int]):
-    """Replace repeated scope variables by intersecting with the diagonal:
-    the result has distinct variables (in order of first occurrence) and may
-    be empty."""
-    scope = tuple(scope)
-    if len(scope) != relation.arity:
-        raise ValueError("scope length does not match relation arity")
-    if len(set(scope)) == len(scope):
-        return relation, scope
-    distinct: list = []
-    for v in scope:
-        if v not in distinct:
-            distinct.append(v)
-    pos = {v: k for k, v in enumerate(distinct)}
-    kept = []
-    for t in relation:
-        img: list = [None] * len(distinct)
-        ok = True
-        for v, x in zip(scope, t):
-            k = pos[v]
-            if img[k] is None:
-                img[k] = x
-            elif img[k] != x:
-                ok = False
-                break
-        if ok:
-            kept.append(tuple(img))
-    return Relation(len(distinct), kept), tuple(distinct)
-
-
 def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> Frame:
     """Small frame for (generated relation) AND relation(scope variables).
 
@@ -502,8 +456,7 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     scope_sat = satisfying(sorted(scope_set))
     if not scope_sat:
         return empty_frame(n)
-    rows: list = []
-    seen: dict = {}
+    rows: dict = {}  # row -> index, in index order
     witness: dict = {}
     for i in range(n):
         sat = scope_sat if i in scope_set else satisfying(sorted(scope_set | {i}))
@@ -512,11 +465,9 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
             t = next(tt for tt in sat if tt[i] in remaining)
             found: dict = {}
             if i > last:
-                g = frame.witness_row(t[i], i)
                 for members in frame.prefix_groups()[i].values():
                     if t[i] in members:
-                        for b in members:
-                            found[b] = apply(phi, t, g, frame.witness_row(b, i))
+                        found = _swap_in(frame, phi, t, i, members)
                         break
             else:
                 sec = sections.get(t[:i])
@@ -529,13 +480,7 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
             if t[i] not in found:
                 raise ValueError("inputs violate the frame invariants")
             for a in sorted(found):
-                w = found[a]
-                k = seen.get(w)
-                if k is None:
-                    k = len(rows)
-                    rows.append(w)
-                    seen[w] = k
-                witness[(a, i)] = k
+                witness[(a, i)] = rows.setdefault(found[a], len(rows))
             remaining -= set(found)
     return shrink_to_small(Frame(n, rows, witness), phi)
 

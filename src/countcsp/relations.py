@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class ReconstructionError(ValueError):
@@ -96,9 +96,27 @@ def project(relation: Relation, indices: Sequence[int]) -> Relation:
     return Relation(len(idx), {tuple(t[i] for i in idx) for t in relation.tuples})
 
 
+def collapse_scope(relation: Relation, scope: Sequence[int]):
+    """Replace repeated scope variables by intersecting with the diagonal:
+    the result has distinct variables (in order of first occurrence) and may
+    be empty."""
+    scope = tuple(scope)
+    if len(scope) != relation.arity:
+        raise ValueError("scope length does not match relation arity")
+    if len(set(scope)) == len(scope):
+        return relation, scope
+    kept = []
+    for t in relation:
+        value = dict(zip(scope, t))
+        if len(value) == len(set(zip(scope, t))):  # repeated variables agree
+            kept.append(tuple(value.values()))
+    distinct = tuple(dict.fromkeys(scope))
+    return Relation(len(distinct), kept), distinct
+
+
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Connected components of a bipartite edge set, each a (rows, cols) pair.
+    """Complete blocks of a bipartite edge set, each a (rows, cols) pair.
 
     Blocks are ordered by their least row label; row sets are pairwise
     disjoint and so are column sets.
@@ -113,35 +131,33 @@ class BlockDecomposition:
         return iter(self.blocks)
 
 
-def _bipartite_blocks(pairs: Iterable[tuple]) -> BlockDecomposition:
-    """Components of an edge list; accepts any hashable vertex labels."""
-    # Tag the two sides so a label may appear on both without merging. Every
-    # class holds a row, so its least element (0, least row) orders the blocks.
-    blocks = []
-    for cls in partition_from_groups(((0, a), (1, b)) for a, b in pairs):
-        rows = frozenset(x for side, x in cls if side == 0)
-        cols = frozenset(x for side, x in cls if side == 1)
-        blocks.append((rows, cols))
-    return BlockDecomposition(tuple(blocks))
-
-
-def _blocks_complete(edges: Iterable[tuple], blocks: BlockDecomposition) -> bool:
-    """True iff every block of the edge set is a complete bipartite graph,
-    that is, holds |rows|*|cols| of the edges."""
-    for rows, cols in blocks:
-        if sum(1 for e in edges if e[0] in rows) != len(rows) * len(cols):
-            return False
-    return True
+def _bipartite_blocks(pairs: Iterable[tuple]) -> Optional[BlockDecomposition]:
+    """Blocks of an edge list that is a disjoint union of complete bipartite
+    blocks, else None; labels must be sortable. A block is the rows that
+    share one column set, and the union is disjoint iff no two of these
+    column sets meet. Rows are taken sorted, so blocks come by least row."""
+    cols_of: dict = {}
+    for a, b in pairs:
+        cols_of.setdefault(a, set()).add(b)
+    rows_of: dict = {}
+    for a in sorted(cols_of):
+        rows_of.setdefault(frozenset(cols_of[a]), []).append(a)
+    if sum(map(len, rows_of)) != len(set().union(*rows_of)):
+        return None
+    return BlockDecomposition(tuple((frozenset(r), c) for c, r in rows_of.items()))
 
 
 def block_decompose(relation: Relation) -> BlockDecomposition:
     """Decompose a binary relation, viewed as a bipartite graph, into its
-    connected components."""
+    connected components; raises ValueError unless each is complete."""
     if relation.arity != 2:
         raise ValueError("block decomposition applies to binary relations")
     if not relation.tuples:
         raise ValueError("block decomposition needs a nonempty relation")
-    return _bipartite_blocks(relation.tuples)
+    blocks = _bipartite_blocks(relation.tuples)
+    if blocks is None:
+        raise ValueError("relation is not a disjoint union of complete blocks")
+    return blocks
 
 
 def is_rectangular(relation: Relation, left_arity: int = 1) -> bool:
@@ -152,8 +168,8 @@ def is_rectangular(relation: Relation, left_arity: int = 1) -> bool:
     """
     if not 1 <= left_arity < relation.arity:
         raise ValueError("split must leave both sides nonempty")
-    pairs = {(t[:left_arity], t[left_arity:]) for t in relation.tuples}
-    return _blocks_complete(pairs, _bipartite_blocks(pairs))
+    pairs = ((t[:left_arity], t[left_arity:]) for t in relation.tuples)
+    return _bipartite_blocks(pairs) is not None
 
 
 class CountMatrix:
@@ -215,12 +231,16 @@ def pair_matrix(relation: Relation, i: int, j: int) -> CountMatrix:
 
 
 def support_blocks(matrix: CountMatrix) -> BlockDecomposition:
-    """Connected components of the nonzero entries of a matrix."""
-    return _bipartite_blocks(matrix.entries.keys())
+    """Connected components of the nonzero entries of a matrix; a support
+    that is not a disjoint union of complete blocks raises ValueError."""
+    blocks = _bipartite_blocks(matrix.entries)
+    if blocks is None:
+        raise ValueError("support is not a disjoint union of complete blocks")
+    return blocks
 
 
 def support_is_rectangular(matrix: CountMatrix) -> bool:
-    return _blocks_complete(matrix.entries, support_blocks(matrix))
+    return _bipartite_blocks(matrix.entries) is not None
 
 
 def is_rank_one_block(matrix: CountMatrix) -> bool:
@@ -230,8 +250,8 @@ def is_rank_one_block(matrix: CountMatrix) -> bool:
     Within a complete block all entries are positive, so rank one amounts to
     every 2x2 minor vanishing.
     """
-    blocks = support_blocks(matrix)
-    if not _blocks_complete(matrix.entries, blocks):
+    blocks = _bipartite_blocks(matrix.entries)
+    if blocks is None:
         return False
     for rows, cols in blocks:
         rs, cs = sorted(rows), sorted(cols)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from countcsp import (
+    BlockDecomposition,
     CountMatrix,
     Frame,
     MaltsevOp,
@@ -300,3 +301,16 @@ def frame_from_rows(arity: int, rows: Iterable[tuple]) -> Frame:
             for a in cls:
                 witness[(a, i)] = index[min(r for r in rows if r[:i] == v and r[i] == a)]
     return Frame(arity, rows, witness)
+
+
+def union_find_blocks(pairs: Iterable[tuple]) -> BlockDecomposition:
+    """relations._bipartite_blocks as a union-find: the connected components
+    of an edge list, complete or not; accepts any hashable vertex labels."""
+    # Tag the two sides so a label may appear on both without merging. Every
+    # class holds a row, so its least element (0, least row) orders the blocks.
+    blocks = []
+    for cls in partition_from_groups(((0, a), (1, b)) for a, b in pairs):
+        rows = frozenset(x for side, x in cls if side == 0)
+        cols = frozenset(x for side, x in cls if side == 1)
+        blocks.append((rows, cols))
+    return BlockDecomposition(tuple(blocks))

@@ -271,6 +271,24 @@ def test_negative_node_budget_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("TIMEOUT\n")
 
 
+def test_negative_trials_or_cap_is_an_input_error(tmp_path, capsys):
+    s = _file(tmp_path, "s", XOR3_TEXT)
+    i = _file(tmp_path, "i", XOR_INSTANCE)
+    cases = [
+        (["selftest", "--trials", "-3"], "--trials", -3),
+        (["selftest", "--cap", "-1", "--trials", "2"], "--cap", -1),
+        (["oracle", s, i, "--cap", "-1"], "--cap", -1),
+    ]
+    for argv, flag, value in cases:
+        assert cli.main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s must be non-negative, got %d\n" % (flag, value)
+    # zero trials is valid: nothing is checked
+    assert cli.main(["selftest", "--trials", "0"]) == 0
+    assert capsys.readouterr().out.endswith("selftest ok seed=0 trials=0\n")
+
+
 def test_normalization_note(tmp_path, capsys):
     text = "domain 4\nrelation D 2 2\n0 2\n2 0\n"
     s = _file(tmp_path, "s", text)

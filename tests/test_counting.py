@@ -259,6 +259,17 @@ def test_rank_defect_permuted_scope_is_caught():
     assert exc.value.pair == (2, 3)
 
 
+def test_non_rectangular_quotient_is_not_balanced(monkeypatch):
+    # a quotient support without complete blocks has no rank-one
+    # reconstruction; count_frame names the pair instead of failing on None
+    monkeypatch.setattr(counting, "_bipartite_blocks", lambda pairs: None)
+    inst = Instance(3, [("XOR3", (0, 1, 2))])
+    with pytest.raises(NotBalancedError) as exc:
+        count_frame(build_frame(XOR3, MIN2, inst), MIN2, variables=(4, 5, 6))
+    assert exc.value.pair == (5, 6)
+    assert str(exc.value).startswith("reconstruction failed at pair (5, 6): ")
+
+
 def test_balance_matrix():
     inst = Instance(3, [("R", (0, 1, 2))])
     m = balance_matrix(rank_defect_structure(), inst, 0, 1)

@@ -37,7 +37,7 @@ from countcsp.fixtures import (
     random_instance,
     xor3_structure,
 )
-from countcsp.frames import _fix_first, _insert_free, _pair_index
+from countcsp.frames import _fix_first, _insert_free, _pair_index, _swap_in
 from countcsp.maltsev import encode
 from countcsp.relations import _bipartite_blocks
 
@@ -76,6 +76,18 @@ def test_partition_from_groups_covers_and_separates(groups):
     for g in groups:
         if g:
             assert len({part.representative(v) for v in g}) == 1
+
+
+@given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=14))
+def test_blocks_by_column_set_match_the_union_find(pairs):
+    got = _bipartite_blocks(pairs)
+    want = helpers.union_find_blocks(pairs)
+    complete = all(
+        sum(1 for a, _ in pairs if a in rows) == len(rows) * len(cols) for rows, cols in want
+    )
+    assert (got is None) == (not complete)
+    if complete:
+        assert got == want
 
 
 @st.composite
@@ -322,3 +334,21 @@ def test_insert_free_adds_one_free_coordinate(k, seed):
         assert got == sorted(t[:p] + (a,) + t[p:] for t in old for a in range(q))
         if len(frame.rows) <= n * (q - 1) + 1:
             assert len(new.rows) <= (n + 1) * (q - 1) + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1))
+def test_swap_in_keeps_the_prefix_and_puts_b_at_i(k, seed):
+    structure, phi = SECTION_LANGUAGES[k]
+    inst = random_instance(structure, random.Random(seed), max_vars=5, max_constraints=4)
+    frame = build_frame(structure, phi, inst)
+    assume(not frame.is_empty())
+    groups = frame.prefix_groups()
+    for t in frame.rows:
+        for i in range(frame.arity):
+            cls = next(c for c in groups[i].values() if t[i] in c)
+            swapped = _swap_in(frame, phi, t, i, cls)
+            assert list(swapped) == cls
+            for b, u in swapped.items():
+                assert member(frame, phi, u)
+                assert u[:i] == t[:i] and u[i] == b

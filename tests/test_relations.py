@@ -54,6 +54,13 @@ def test_block_decompose():
     assert blocks == ((frozenset({0, 1}), frozenset({0, 1})), (frozenset({2}), frozenset({2})))
 
 
+def test_block_functions_reject_incomplete_blocks():
+    with pytest.raises(ValueError, match="complete blocks"):
+        block_decompose(Relation(2, [(0, 0), (0, 1), (1, 1)]))
+    with pytest.raises(ValueError, match="complete blocks"):
+        support_blocks(_matrix([[1, 1], [0, 1]]))
+
+
 def test_is_rectangular():
     good = Relation(2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
     bad = Relation(2, [(0, 0), (0, 1), (1, 0)])
