@@ -170,7 +170,7 @@ def count_frame(
     if variables is None:
         variables = tuple(range(n))
     counts: dict = {}
-    # the base stages read the (0, j) closures that the root sections share
+    # the base stages read the root frame's (0, j) pair closures
     root = sections.pairs(())
     for j in range(1, n):
         vals: dict = {}

@@ -327,10 +327,30 @@ def shrink_to_small(frame: Frame, phi: MaltsevOp) -> Frame:
     return Frame(n, rows, witness)
 
 
+def _walk(frame: Frame, phi: MaltsevOp, seed: tuple, rows: dict, witness: dict, start: int):
+    """Witness every value at positions >= start of a phi-closed part R' of
+    the generated relation whose classes there are whole classes of the
+    frame. `rows` (a dict used as an ordered set) witnesses R' below start,
+    so with `seed` from R' it generates R' there, and its closure onto the
+    single index i meets every class of R' at i; each closure tuple with an
+    unwitnessed value brings in its frame class by one _swap_in. Newest rows
+    go first, as their prefixes are the ones pinned already."""
+    groups = frame.prefix_groups()
+    for i in range(start, frame.arity):
+        for t in closure_project([*reversed(rows), seed], phi, (i,)):
+            if (t[i], i) in witness:
+                continue
+            k = frame.witness.get((t[i], i))
+            if k is None:
+                raise ValueError("inputs violate the frame invariants")
+            cls = groups[i][frame.rows[k][:i]]
+            for b, u in _swap_in(frame, phi, t, i, cls).items():
+                witness[(b, i)] = rows.setdefault(u, len(rows))
+
+
 def _pair_index(frame: Frame, phi: MaltsevOp) -> list:
-    """What every section of one frame reads: per position i >= 1 the (0, i)
-    pair closure grouped as a -> {b: the tuple through (a, b)}. Sibling
-    sections share one build."""
+    """Per position i >= 1 the (0, i) pair closure grouped as
+    a -> {b: the tuple through (a, b)}, for counting (SectionCache.pairs)."""
     pairs: list = [{} for _ in range(frame.arity)]
     if frame.rows:
         for i in range(1, frame.arity):
@@ -339,34 +359,23 @@ def _pair_index(frame: Frame, phi: MaltsevOp) -> list:
     return pairs
 
 
-def _fix_first(frame: Frame, phi: MaltsevOp, a: int, pairs: list) -> Frame:
+def _fix_first(frame: Frame, phi: MaltsevOp, a: int) -> Frame:
     """Frame for the section "first coordinate pinned to a", one arity lower.
 
-    For each later position, the pair closure with position 0 (`pairs`, the
-    frame's _pair_index) supplies one tuple through (a, b) per reachable
-    value b; a shared-prefix class either meets the section wholly or not at
-    all, and one phi application moves each class witness onto the prefix of
-    the class's in-section tuple.
+    The witness walk from a's witness row at position 0, then coordinate 0
+    dropped: by add_constraint's argument past a scope, with the constraint
+    x0 = a, a later class meets the section wholly or not at all.
     """
     n = frame.arity
     if n < 1:
         raise ValueError("nothing to pin in an arity-0 frame")
-    if frame.is_empty() or (a, 0) not in frame.witness:
+    if (a, 0) not in frame.witness:
         return empty_frame(n - 1)
-    if n == 1:
-        return Frame(0, ((),), {})
-    groups = frame.prefix_groups()
-    rows: dict = {}  # row -> index, in index order
+    seed = frame.witness_row(a, 0)
+    rows: dict = {seed: 0}  # row -> index, in index order
     witness: dict = {}
-    for i in range(1, n):
-        present = pairs[i].get(a, {})
-        for members in groups[i].values():
-            hit = sorted(b for b in members if b in present)
-            if not hit:
-                continue
-            for c, t in _swap_in(frame, phi, present[hit[0]], i, sorted(members)).items():
-                witness[(c, i - 1)] = rows.setdefault(t[1:], len(rows))
-    return Frame(n - 1, rows, witness)
+    _walk(frame, phi, seed, rows, witness, 1)
+    return Frame(n - 1, (r[1:] for r in rows), {(b, i - 1): k for (b, i), k in witness.items()})
 
 
 def fix_prefix(frame: Frame, phi: MaltsevOp, values: Sequence[int]) -> Frame:
@@ -380,11 +389,10 @@ class SectionCache:
     is pinned.
 
     Counting and congruence computations pin many nested prefixes of the
-    same frame; caching by prefix builds each section once, and caching the
-    pair index of each cached section lets all of its child sections share
-    one set of pair closures. One count shares one cache among all of its
+    same frame; caching by prefix builds each section once, from its parent
+    by one witness walk. One count shares one cache among all of its
     congruences, which read both classes off the sections' pair closures
-    (pairs); add_constraint reads the sections themselves (get).
+    (pairs, built on demand); add_constraint reads the sections (get).
     """
 
     def __init__(self, frame: Frame, phi: MaltsevOp):
@@ -392,12 +400,6 @@ class SectionCache:
         self.phi = phi
         self._cache: dict = {(): frame}
         self._pairs: dict = {}
-
-    def _pairs_at(self, values: tuple, f: Frame) -> list:
-        pairs = self._pairs.get(values)
-        if pairs is None:
-            pairs = self._pairs[values] = _pair_index(f, self.phi)
-        return pairs
 
     def get(self, values: Sequence[int]) -> Frame:
         values = tuple(values)
@@ -407,32 +409,33 @@ class SectionCache:
             k -= 1
         f = cache[values[:k]]
         for m in range(k, len(values)):
-            f = _fix_first(f, self.phi, values[m], self._pairs_at(values[:m], f))
+            f = _fix_first(f, self.phi, values[m])
             cache[values[:m + 1]] = f
         return f
 
     def pairs(self, values: Sequence[int]) -> list:
         """The pair closures of the section at this prefix: per position
         k >= 1 of the section, its (0, k) closure grouped as
-        a -> {b: the tuple through (a, b)}. Memoized with the index that
-        get's child sections read."""
+        a -> {b: the tuple through (a, b)}. Memoized per prefix."""
         values = tuple(values)
-        return self._pairs_at(values, self.get(values))
+        pairs = self._pairs.get(values)
+        if pairs is None:
+            pairs = self._pairs[values] = _pair_index(self.get(values), self.phi)
+        return pairs
 
 
 def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> Frame:
     """Small frame for (generated relation) AND relation(scope variables).
 
-    Per position i: project the current relation onto scope + {i} and filter
-    by the constraint to learn which position-i values survive (at a scope
-    position that is the projection onto the scope, closed once for all of
-    them; empty means the conjunction is empty), then pin the
-    prefix of a surviving tuple and redo the filtered projection inside that
-    section to harvest one whole shared-prefix class of the conjunction with
-    common-prefix witnesses. Past the last scope variable the prefix already
-    satisfies the constraint, so the class is the frame's own and its
-    witnesses come from the frame's witness rows without a section. Repeats
-    until every surviving value has a witness, then shrinks.
+    The filtered closure onto the scope decides emptiness; its first tuple
+    seeds one-index closures of the rows gathered so far, which meet every
+    shared-prefix class of the conjunction (see _walk). Up to the last scope
+    variable each such tuple t with an unwitnessed value has its prefix
+    pinned, and the filtered projection inside that section harvests t[i]'s
+    class with common-prefix witnesses. Past it the surviving classes are
+    the frame's own: if p.b.. and p.b'.. are in R and p'.b.. satisfies the
+    constraint, so does phi(p'.b.., p.b.., p.b'..) = p'.b'... So the rest
+    is _walk, without sections. Then shrinks.
     """
     n = frame.arity
     relation, scope = collapse_scope(relation, scope)
@@ -441,47 +444,31 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
             raise ValueError("scope variable %d out of range" % v)
     if frame.is_empty() or not relation.tuples:
         return empty_frame(n)
-    sections = SectionCache(frame, phi)
-    scope_set = set(scope)
-    last = max(scope)
-
-    def satisfying(J: list) -> list:
-        return sorted(
-            t
-            for t in closure_project(frame.rows, phi, J)
-            if tuple(t[v] for v in scope) in relation
-        )
-
-    # at a scope position J is the scope itself: one closure serves them all
-    scope_sat = satisfying(sorted(scope_set))
-    if not scope_sat:
+    J = sorted(scope)
+    sat = closure_project(frame.rows, phi, J)
+    seed = next((t for t in sat if tuple(t[v] for v in scope) in relation), None)
+    if seed is None:
         return empty_frame(n)
+    sections = SectionCache(frame, phi)
+    last = J[-1]
     rows: dict = {}  # row -> index, in index order
     witness: dict = {}
-    for i in range(n):
-        sat = scope_sat if i in scope_set else satisfying(sorted(scope_set | {i}))
-        remaining = {t[i] for t in sat}
-        while remaining:
-            t = next(tt for tt in sat if tt[i] in remaining)
+    for i in range(last + 1):
+        Jp = sorted({v - i for v in J if v >= i} | {0})
+        for t in closure_project([*reversed(rows), seed], phi, (i,)):
+            if (t[i], i) in witness:
+                continue
+            prefix = t[:i]
             found: dict = {}
-            if i > last:
-                for members in frame.prefix_groups()[i].values():
-                    if t[i] in members:
-                        found = _swap_in(frame, phi, t, i, members)
-                        break
-            else:
-                sec = sections.get(t[:i])
-                Jp = sorted({v - i for v in scope_set if v >= i} | {0})
-                prefix = t[:i]
-                for s in closure_project(sec.rows, phi, Jp):
-                    full = prefix + s
-                    if s[0] not in found and tuple(full[v] for v in scope) in relation:
-                        found[s[0]] = full
+            for s in closure_project(sections.get(prefix).rows, phi, Jp):
+                full = prefix + s
+                if s[0] not in found and tuple(full[v] for v in scope) in relation:
+                    found[s[0]] = full
             if t[i] not in found:
                 raise ValueError("inputs violate the frame invariants")
             for a in sorted(found):
                 witness[(a, i)] = rows.setdefault(found[a], len(rows))
-            remaining -= set(found)
+    _walk(frame, phi, seed, rows, witness, last + 1)
     return shrink_to_small(Frame(n, rows, witness), phi)
 
 

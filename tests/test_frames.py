@@ -65,6 +65,19 @@ def test_span_and_position_classes_raise_typed_errors():
             f.position_classes(i)
 
 
+def test_add_constraint_and_sections_reject_a_malformed_frame():
+    # the same frame: its row (1, 1) reaches a value without a witness
+    f = Frame(2, [(0, 0), (1, 1)], {(0, 0): 0, (1, 0): 1, (0, 1): 0})
+    for relation, scope in (
+        (Relation(1, [(0,), (1,)]), (0,)),
+        (Relation(2, itertools.product(range(2), repeat=2)), (0, 1)),
+    ):
+        with pytest.raises(ValueError, match="frame invariants"):
+            add_constraint(f, MIN2, relation, scope)
+    with pytest.raises(ValueError, match="frame invariants"):
+        fix_prefix(f, MIN2, (1,))
+
+
 def test_closure_project_matches_naive_fixpoint():
     # Arity up to 6 reaches projections too wide for a byte table (q=3,
     # five or more indices). The reference closes the projected rows, which

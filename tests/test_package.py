@@ -1,6 +1,6 @@
 """Package-level checks: the public name list, the import layering between
-modules, unused imports, where the byte-table cap is read, and the demos
-running end to end."""
+modules, unused imports, where the byte-table cap is read, who builds the
+pair index, and the demos running end to end."""
 
 import ast
 import os
@@ -100,6 +100,38 @@ def test_counting_pins_no_frames():
     # constraint to its frame
     assert "add_constraint" not in _package_imports("counting").get("frames", set())
     assert not hasattr(countcsp.counting, "add_constraint")
+
+
+def _callers(name: str) -> list:
+    """Qualified names of the functions anywhere in src/countcsp that call
+    `name`, once per call."""
+    out: list = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                    out.append(".".join(scope))
+            visit(child, scope)
+
+    for module in MODULES:
+        visit(_tree(module), (module,))
+    return out
+
+
+def test_sections_are_walked_without_a_pair_index():
+    # the (0, i) pair index is built for counting alone; a section is
+    # walked from its parent and the pinned value
+    assert _callers("_pair_index") == ["frames.SectionCache.pairs"]
+    fix_first = next(
+        n for n in ast.walk(_tree("frames"))
+        if isinstance(n, ast.FunctionDef) and n.name == "_fix_first"
+    )
+    assert [a.arg for a in fix_first.args.args] == ["frame", "phi", "a"]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

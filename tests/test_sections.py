@@ -24,6 +24,11 @@ trace of every single-component instance stayed byte-identical, and the
 trace of every instance with several components is now the concatenation
 of its components' traces, each as the earlier count gave it for that
 component alone (relabelled to its sorted variables).
+
+The frame-dump digests were re-recorded a second time when sections and
+add_constraint past a constraint's scope came to take their witnesses from
+one walk, which closes the rows gathered so far onto one index at a time:
+the rows changed; the counts, traces and relations did not.
 """
 
 import hashlib
@@ -53,19 +58,19 @@ BATTERY = {
 # the generated relations)
 DIGESTS = {
     "xor3": (
-        "b078e3bf10c090339b3eeedf3094ee1cb7e4da696f85e73a0b23be84fd1fbae5",
+        "d14614ba0293cc770bd648a4b4b6045fa09f3d7eac3689c079504bb82962dd10",
         "d2c4bae7ac83fdb8a618f478c4cdf1e07ba2752d3098befb181ffded30804a5f",
         "37edf06ab81a23e069e9045a4d507cc5e35d8f4f6015658b80d880eed0a1fb5d",
         "250647245648b597d4216ce7bd7ead8cb68457e50e8f6dd1afa9f39884e0206f",
     ),
     "diag3": (
-        "90439f4b1892001903afec173db6df9d30f0b53f83726aa6e09f10ae4c343b5a",
+        "6f9ce708bcc65ccc069a1c277eef972cc1db7fb2291635b2a9a9ffc6d43474fa",
         "ef0ce4de7735847d55613e8b6a188330aa2f64a0c3d280bd1d062542e7ffe4bc",
         "e19eb267e33520da4cfa2237c72daa1ff1d24c9382b0d82aed2bb14a6d8ed2e2",
         "fe3c1e08771b03c6a24e6a0b478a8a45d37b2ebf06b447ec63a44a4aea8791ab",
     ),
     "constants": (
-        "d245bbc05acde567abc8e4a5a305ed611f0aed313251845352f8760327af911d",
+        "308d5657c734342b16216bf568bc243f14a5f03c16d167fecbb404e2fdbb47da",
         "dedde3cf7b19ee93934a7e8fe93a762e09733c37055092c0948e68b5f59fb794",
         "6bccc470e874940e53d9228d02214d76ae6ebd9a8792ad3b20344aba5cf35cdc",
         "d7eaa72f5a5b13f7823254cc2cd6d643a6f29c6959c6f65d532243493d51d747",
@@ -137,11 +142,14 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # pair closure 4,644 closures and 578 sections. Adding the constraints in
     # file order pinned sections up to the frame's last position on every
     # add_constraint; highest variable first puts each new variable at
-    # position 0.
-    assert calls == {"closure_project": 1288, "_fix_first": 107, "projection": 0}
+    # position 0. Sections walked from their parents' rows, one index at a
+    # time, instead of matched against a shared (0, i) pair index made 1,288
+    # closures into 2,061, each onto one index, and pinned the same sections.
+    assert calls == {"closure_project": 2061, "_fix_first": 107, "projection": 0}
     # count_frame alone reads both classes off one section's pair closure
     # (the two readings above made 835 closures, 70 sections and 855
-    # projection scans), and it pins no frame: it adds no constraint
+    # projection scans; sections walked one index at a time made 685 into
+    # 1,233), and it pins no frame: it adds no constraint
     frame = build_frame(st, phi, inst)
     calls.update(dict.fromkeys(calls, 0), add_constraint=0)
     pin = counted("add_constraint", frames.add_constraint)
@@ -149,4 +157,4 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # a counting module that imports add_constraint calls its own binding
     monkeypatch.setattr(counting, "add_constraint", pin, raising=False)
     assert counting.count_frame(frame, phi) == 4
-    assert calls == {"closure_project": 685, "_fix_first": 53, "projection": 0, "add_constraint": 0}
+    assert calls == {"closure_project": 1233, "_fix_first": 53, "projection": 0, "add_constraint": 0}
