@@ -18,8 +18,8 @@ most three coordinates. All arithmetic is exact.
 
 `count` sweeps each connected component of an instance on its own frame
 and multiplies the results. Within a component the coordinate order is the
-sorted variable order; only the order in which constraints are added to the
-frame is chosen, so that each addition reaches few positions past its scope.
+sorted variable order; build_frame chooses the order in which constraints
+are added to the frame.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .frames import Frame, SectionCache, build_frame, closure_project
+from .frames import Frame, SectionCache, _resolve_constraints, build_frame, closure_project
 from .maltsev import MaltsevOp
 
 # Not used here. The benchmark's tracer test reads both names through this
@@ -249,21 +249,23 @@ def count(
     others fall into connected components (two constraints meet when their
     scopes share a variable), and the count is q**free times the product of
     the components' counts. Each component gets its own frame over its
-    variables in sorted order, so the coordinate order is the instance's.
-    Its constraints go in fewest distinct variables first, then highest
-    variable first: unary constraints and folded repeats come first, and a
-    banded instance is added from its high end, so each constraint touches
-    few positions after its scope. Every frame is built before any is
-    counted; an empty one makes the count 0 and leaves the trace empty. The
-    trace lists each component's stages in turn, components by least
-    variable. A NotBalancedError names its failing pair by instance
-    variables.
+    variables in sorted order, so the coordinate order is the instance's;
+    its constraints go to build_frame in the instance's order, and
+    build_frame chooses the order in which they are added. Every constraint
+    of every component is resolved and arity-checked before any frame is
+    built, as build_frame does for one, so an unknown name or a scope of the
+    wrong length raises even where another component is unsatisfiable.
+    Every frame is built before any is counted; an empty one makes the count
+    0 and leaves the trace empty. The trace lists each component's stages in
+    turn, components by least variable. A NotBalancedError names its
+    failing pair by instance variables.
     """
     q = structure.domain_size
     if phi.q != q:
         raise ValueError(
             "operation is over %d elements, the structure over %d" % (phi.q, q)
         )
+    _resolve_constraints(structure, instance.constraints)
     # components in order of least variable, each with its constraints
     groups: dict = {
         cls: [] for cls in partition_from_groups(scope for _, scope in instance.constraints)
@@ -275,10 +277,9 @@ def count(
     for cls, group in groups.items():
         variables = tuple(sorted(cls))
         pos = {v: k for k, v in enumerate(variables)}
-        constraints = sorted(group, key=lambda c: (len(set(c[1])), -max(c[1])))
         core = Instance(
             len(variables),
-            tuple((name, tuple(pos[v] for v in scope)) for name, scope in constraints),
+            tuple((name, tuple(pos[v] for v in scope)) for name, scope in group),
         )
         frame = build_frame(structure, phi, core)
         if frame.is_empty():

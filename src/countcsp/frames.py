@@ -11,7 +11,14 @@ which is how build_frame processes a whole instance without ever
 materializing R. Its frame grows as variables appear: a variable no
 constraint has touched yet is a free coordinate, which needs no closure, so
 build_frame keeps the frame over the touched variables only and inserts a
-free coordinate when a constraint first mentions one.
+free coordinate when a constraint first mentions one. It chooses the order
+in which constraints are added (fewest distinct variables first, then
+highest variable first), whatever order the instance lists them in, so
+each addition reaches few positions past its scope. An addition reads
+prefix sections only up to its last scope position, so add_constraint pins
+them on the frame's head there, a frame of the projection onto those
+positions, and lifts the rows it harvests back to full rows by the
+witness walk.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -20,7 +27,7 @@ to a row index.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
 from .relations import Instance, Partition, Relation, collapse_scope
@@ -261,42 +268,46 @@ def initial_frame(n: int, q: int) -> Frame:
     return f
 
 
-def member(frame: Frame, phi: MaltsevOp, t: Sequence[int]) -> bool:
-    """Membership in the generated relation by the witness-walk scan.
+def _lift(frame: Frame, phi: MaltsevOp, prefix: tuple) -> Optional[tuple]:
+    """A tuple of the generated relation that starts with `prefix`, or None
+    if there is none: the witness-walk scan.
 
-    Maintains a generated tuple agreeing with t on a growing prefix; at each
-    position the two witness rows of the current value and the target value
-    share a prefix exactly when the values are exchangeable there, and one
-    phi application swaps the target value in without disturbing the prefix.
+    Keeps a generated tuple agreeing with the prefix on a growing head; at
+    each position the two witness rows of the current value and the target
+    value share a prefix exactly when the values are exchangeable there, and
+    one phi application swaps the target value in without disturbing the
+    head. The empty prefix lifts to the first row.
     """
-    t = tuple(t)
-    if len(t) != frame.arity:
-        raise ValueError("tuple arity mismatch")
     if not frame.rows:
-        return False
-    if frame.arity == 0:
-        return True
+        return None
     w = frame.witness
-    k = w.get((t[0], 0))
+    k = w.get((prefix[0], 0)) if prefix else 0
     if k is None:
-        return False
+        return None
     cur = frame.rows[k]
-    for i in range(1, frame.arity):
-        a = t[i]
+    for i in range(1, len(prefix)):
+        a = prefix[i]
         if cur[i] == a:
             continue
         ka = w.get((a, i))
-        if ka is None:
-            return False
         kc = w.get((cur[i], i))
-        if kc is None:
-            return False
+        if ka is None or kc is None:
+            return None
         wa = frame.rows[ka]
         wc = frame.rows[kc]
         if wa[:i] != wc[:i]:
-            return False
+            return None
         cur = apply(phi, cur, wc, wa)
-    return True
+    return cur
+
+
+def member(frame: Frame, phi: MaltsevOp, t: Sequence[int]) -> bool:
+    """Membership in the generated relation: whether t lifts (_lift) as a
+    whole."""
+    t = tuple(t)
+    if len(t) != frame.arity:
+        raise ValueError("tuple arity mismatch")
+    return _lift(frame, phi, t) is not None
 
 
 def shrink_to_small(frame: Frame, phi: MaltsevOp) -> Frame:
@@ -432,10 +443,15 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     shared-prefix class of the conjunction (see _walk). Up to the last scope
     variable each such tuple t with an unwitnessed value has its prefix
     pinned, and the filtered projection inside that section harvests t[i]'s
-    class with common-prefix witnesses. Past it the surviving classes are
-    the frame's own: if p.b.. and p.b'.. are in R and p'.b.. satisfies the
-    constraint, so does phi(p'.b.., p.b.., p.b'..) = p'.b'... So the rest
-    is _walk, without sections. Then shrinks.
+    class with common-prefix witnesses. The sections are pinned on the
+    frame's head, its rows cut after the last scope variable and its
+    witnesses up to it: the frame invariants at position i concern
+    positions up to i only, so the head is a frame of the projection onto
+    those positions, and every harvested head row is lifted back to a row
+    of the frame by the witness walk (_lift). Past the last scope variable the
+    surviving classes are the frame's own: if p.b.. and p.b'.. are in R and
+    p'.b.. satisfies the constraint, so does phi(p'.b.., p.b.., p.b'..) =
+    p'.b'... So the rest is _walk, without sections. Then shrinks.
     """
     n = frame.arity
     relation, scope = collapse_scope(relation, scope)
@@ -449,8 +465,15 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     seed = next((t for t in sat if tuple(t[v] for v in scope) in relation), None)
     if seed is None:
         return empty_frame(n)
-    sections = SectionCache(frame, phi)
     last = J[-1]
+    head = frame
+    if last + 1 < n:
+        head = Frame(
+            last + 1,
+            (r[:last + 1] for r in frame.rows),
+            {(a, i): k for (a, i), k in frame.witness.items() if i <= last},
+        )
+    sections = SectionCache(head, phi)
     rows: dict = {}  # row -> index, in index order
     witness: dict = {}
     for i in range(last + 1):
@@ -467,14 +490,42 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
             if t[i] not in found:
                 raise ValueError("inputs violate the frame invariants")
             for a in sorted(found):
-                witness[(a, i)] = rows.setdefault(found[a], len(rows))
+                row = found[a] if head is frame else _lift(frame, phi, found[a])
+                if row is None:
+                    raise ValueError("inputs violate the frame invariants")
+                witness[(a, i)] = rows.setdefault(row, len(rows))
     _walk(frame, phi, seed, rows, witness, last + 1)
     return shrink_to_small(Frame(n, rows, witness), phi)
 
 
+def _resolve_constraints(structure, constraints) -> list:
+    """(relation, scope) per constraint, each name resolved once: a name the
+    structure cannot resolve raises UnknownRelationError, and a scope whose
+    length is not its relation's arity raises ValueError."""
+    relations: dict = {}
+    out = []
+    for name, scope in constraints:
+        relation = relations.get(name)
+        if relation is None:
+            relation = relations[name] = structure.relation(name)
+        if len(scope) != relation.arity:
+            raise ValueError("scope length does not match relation arity")
+        out.append((relation, scope))
+    return out
+
+
 def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
     """Small frame for the instance's solution set, built one constraint at
-    a time in file order.
+    a time.
+
+    Every constraint is resolved and its scope checked against its
+    relation's arity before any frame work, so an unknown name
+    (UnknownRelationError) or a scope of the wrong length (ValueError)
+    raises whatever the other constraints say. The constraints then go in
+    fewest distinct variables first, then highest variable first, ties in
+    the instance's order: unary constraints and folded repeats come first,
+    and a banded instance is added from its high end, so each constraint
+    reaches few positions after its scope.
 
     The frame grows as variables appear: it is kept over the sorted list of
     variables that some constraint has touched so far, starting from the
@@ -491,10 +542,13 @@ def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
         raise ValueError(
             "operation is over %d elements, the structure over %d" % (phi.q, q)
         )
+    constraints = sorted(
+        _resolve_constraints(structure, instance.constraints),
+        key=lambda c: (len(set(c[1])), -max(c[1])),
+    )
     touched: list = []
     f = Frame(0, ((),), {})
-    for name, scope in instance.constraints:
-        relation = structure.relation(name)
+    for relation, scope in constraints:
         for v in sorted(set(scope)):
             p = bisect_left(touched, v)
             if p == len(touched) or touched[p] != v:

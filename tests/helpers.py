@@ -5,8 +5,9 @@ point is to recompute expected values a second way. The exceptions are
 add_constraint_split and split_frame, a second constraint-addition path that
 build_frame's frames are compared against; _closure_tuples, the tuple loop
 that closure_project's output order is compared against; frame_from_rows,
-which adopts explicit tuple sets as frames; and trace_text, the canonical
-text that count traces are compared and pinned as.
+which adopts explicit tuple sets as frames; trace_text, the canonical
+text that count traces are compared and pinned as; and relation_text, the
+canonical text of a generated relation, read through member.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from countcsp import (
     collapse_scope,
     empty_frame,
     initial_frame,
+    member,
     partition_from_groups,
     project,
 )
@@ -121,6 +123,16 @@ def trace_text(trace: list) -> str:
             q = s.quotient
             parts.append((q.row_labels, q.col_labels, sorted(q.entries.items())))
         lines.append(repr(parts))
+    return "\n".join(lines) + "\n"
+
+
+def relation_text(frame, phi, q: int) -> str:
+    """The generated relation: every tuple of D^n that member accepts, in
+    lexicographic order, after a header with n."""
+    lines = ["n=%d" % frame.arity]
+    for t in itertools.product(range(q), repeat=frame.arity):
+        if member(frame, phi, t):
+            lines.append(" ".join(map(str, t)))
     return "\n".join(lines) + "\n"
 
 

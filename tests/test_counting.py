@@ -58,6 +58,29 @@ def test_unknown_relation_name_is_a_typed_error(name):
         assert str(exc.value) == "no relation named %r in the structure" % name
 
 
+# CONST_0 and CONST_1 on variable 0: unsatisfiable whatever else is there
+UNSAT = [("CONST_0", (0,)), ("CONST_1", (0,))]
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (("NOPE", (1, 2)), UnknownRelationError),
+        (("NOPE", (0, 1)), UnknownRelationError),
+        (("XOR3", (1, 2)), ValueError),
+        (("XOR3", (0, 1)), ValueError),
+    ],
+)
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_malformed_constraints_raise_beside_an_unsatisfiable_one(bad, error, bad_first):
+    # every constraint is resolved and arity-checked before any frame work,
+    # in the bad constraint's component ((0, 1)) or a later one ((1, 2))
+    inst = Instance(3, [bad] + UNSAT if bad_first else UNSAT + [bad])
+    for run in (lambda: build_frame(XOR3, MIN2, inst), lambda: count(XOR3, MIN2, inst)):
+        with pytest.raises(error):
+            run()
+
+
 def test_operation_over_another_domain_is_rejected():
     # q=2 operation on a q=3 structure (once an IndexError deep in a
     # closure) and q=3 on q=2 (once a frame, then overlapping classes)

@@ -23,6 +23,7 @@ from countcsp import (
     shrink_to_small,
     span,
 )
+from countcsp import frames
 from countcsp.fixtures import (
     constants_structure,
     diagonal_structure,
@@ -76,6 +77,11 @@ def test_add_constraint_and_sections_reject_a_malformed_frame():
             add_constraint(f, MIN2, relation, scope)
     with pytest.raises(ValueError, match="frame invariants"):
         fix_prefix(f, MIN2, (1,))
+    # the head of this one, cut after position 0, reaches 1 there, which
+    # has no witness in the frame: the harvested head row (1,) does not lift
+    g = Frame(2, [(0, 0), (1, 1)], {(0, 0): 0, (0, 1): 0, (1, 1): 1})
+    with pytest.raises(ValueError, match="frame invariants"):
+        add_constraint(g, MIN2, Relation(1, [(0,), (1,)]), (0,))
 
 
 def test_closure_project_matches_naive_fixpoint():
@@ -304,6 +310,29 @@ def test_build_frame_handles_any_variable_order():
             assert f.is_empty() == (not sols)
             assert _generated(f, op, st.domain_size) == sols
             assert len(f.rows) <= 7 * (st.domain_size - 1) + 1
+
+
+def test_build_frame_chooses_the_constraint_order(monkeypatch):
+    # the same frame from the same closures: in file order the ascending
+    # chain would pin sections far past each new constraint
+    calls = [0]
+    closure = frames.closure_project
+
+    def counted(*args):
+        calls[0] += 1
+        return closure(*args)
+
+    monkeypatch.setattr(frames, "closure_project", counted)
+    n = 20
+    chain = [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)]
+    shuffled = list(chain)
+    random.Random(3).shuffle(shuffled)
+    runs = []
+    for order in (chain, chain[::-1], shuffled):
+        calls[0] = 0
+        runs.append((dump(build_frame(XOR3, MIN2, Instance(n, order))), calls[0]))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_build_frame_without_constraints_is_the_initial_frame():

@@ -1,8 +1,11 @@
 """Package-level checks: the public name list, the import layering between
 modules, unused imports, where the byte-table cap is read, who builds the
-pair index, and the demos running end to end."""
+pair index, that every function the benchmark's tracer wraps exists, and
+the demos running end to end."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -132,6 +135,18 @@ def test_sections_are_walked_without_a_pair_index():
         if isinstance(n, ast.FunctionDef) and n.name == "_fix_first"
     )
     assert [a.arg for a in fix_first.args.args] == ["frame", "phi", "a"]
+
+
+def test_every_tracer_target_resolves():
+    # a target the tracer cannot find is reported as absent (a null metric)
+    # instead of failing the benchmark run, so a rename shows here first
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, _, _ in tracer.TARGETS:
+        importlib.import_module("countcsp." + layer)
+    targets = [(layer, path) for layer, path, _ in tracer.TARGETS]
+    assert [t for t in targets if tracer._resolve(*t) is None] == []
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -38,7 +38,7 @@ from countcsp.fixtures import (
     random_instance,
     xor3_structure,
 )
-from countcsp.frames import _fix_first, _insert_free, _swap_in
+from countcsp.frames import _fix_first, _insert_free, _lift, _swap_in
 from countcsp.maltsev import encode
 from countcsp.relations import _bipartite_blocks
 
@@ -307,6 +307,38 @@ def test_sections_generate_the_tuples_through_their_prefix(k, seed):
                 assert section.is_empty() == (not rest)
             else:
                 assert span(section, phi) == Relation(section.arity, rest)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1), st.data())
+def test_constraint_order_moves_no_count_or_relation(k, seed, data):
+    # build_frame chooses the order in which constraints are added, so a
+    # permuted instance has the same count and generated relation
+    structure, phi = SECTION_LANGUAGES[k]
+    q = structure.domain_size
+    inst = random_instance(structure, random.Random(seed), max_vars=5, max_constraints=5)
+    permuted = Instance(inst.num_vars, data.draw(st.permutations(inst.constraints)))
+    assert count(structure, phi, permuted) == count(structure, phi, inst)
+    assert helpers.relation_text(build_frame(structure, phi, permuted), phi, q) == (
+        helpers.relation_text(build_frame(structure, phi, inst), phi, q)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1))
+def test_lift_extends_exactly_the_prefixes_of_the_relation(k, seed):
+    structure, phi = SECTION_LANGUAGES[k]
+    inst = random_instance(structure, random.Random(seed), max_vars=5, max_constraints=4)
+    frame = build_frame(structure, phi, inst)
+    solutions = span(frame, phi)
+    for m in range(frame.arity + 1):
+        heads = {t[:m] for t in solutions}
+        for prefix in itertools.product(range(structure.domain_size), repeat=m):
+            lifted = _lift(frame, phi, prefix)
+            if prefix in heads:
+                assert lifted in solutions and lifted[:m] == prefix
+            else:
+                assert lifted is None
 
 
 def pinned_backward(frame, phi, i: int, j: int, support) -> Partition:
