@@ -164,8 +164,6 @@ def resolve_instance(structure: RelationalStructure, instance: Instance) -> None
             raise CliParseError(
                 "constraint %s: no such relation in the structure" % name
             )
-        except ValueError as e:
-            raise CliParseError("constraint %s: %s" % (name, e))
         if rel.arity != len(scope):
             raise CliParseError(
                 "constraint %s: relation has arity %d, scope has %d variables"

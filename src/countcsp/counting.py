@@ -7,6 +7,8 @@ position j is computed by a sweep over i:
 
 * the values at j split into classes sharing a compatible (i+1)-prefix, and
   the values at i split into classes sharing an i-prefix and a j-value;
+  both are read off the witness maps of prefix sections, with no pair
+  closure beyond the stage's own (i, j) support;
 * the matrix "number of i-prefixes compatible with the pair (x, y)" is
   constant on class pairs, and the quotient matrix is a rank-one block
   matrix whose row and column sums are the stage-(i-1) counts;
@@ -102,15 +104,19 @@ def congruences(frame: Frame, phi: MaltsevOp, i: int, j: int) -> CongruencePair:
     """Both coordinate-pair congruences of the generated relation, without
     enumerating it.
 
-    Both are read off one section's (i, j) pair closure. For a support
-    tuple t through (x, y), the (i, j) projection of the section at t[:i]
-    is a union of complete bipartite blocks. The forward class of y is the
-    row of x: by rectangularity the class of y is the set of values at j
-    that extend any compatible (i+1)-prefix, and t[:i+1] is one. The
-    backward class of x is the column of y. Any column gives the same
-    classes: if u = p.x..y, v = p.x'..y and s = p'.x..y' lie in R, then so
-    does phi(v, u, s) = p'.x'..y', so x' shares every i-prefix and j-value
-    that x has.
+    Both are read off the witness maps of prefix sections; frame invariant
+    (a) makes a section's witness map list every value of every coordinate
+    projection. Take a support tuple t through (x, y), p = t[:i] and
+    k = j - i - 1. By rectangularity the forward class of y is the set of
+    values at j that extend any compatible (i+1)-prefix, and t[:i+1] is
+    one: the values b with (b, k) witnessed in the section at p + (x,).
+    The backward class of x is the column of y in the section at p, whose
+    row at x is the projection of the section at p + (x,): the values a
+    witnessed at 0 in the section at p with (y, k) witnessed in the section
+    at p + (a,). Any column gives the same classes: if u = p.x..y,
+    v = p.x'..y and s = p'.x..y' lie in R, then so does
+    phi(v, u, s) = p'.x'..y', so x' shares every i-prefix and j-value that
+    x has.
     """
     if not 1 <= i < j <= frame.arity - 1:
         raise ValueError("need 1 <= i < j <= arity-1")
@@ -118,9 +124,13 @@ def congruences(frame: Frame, phi: MaltsevOp, i: int, j: int) -> CongruencePair:
 
 
 def _congruences(sections: SectionCache, i: int, j: int, support: dict) -> CongruencePair:
-    """congruences for the frame of `sections`, whose pair closures it reads
-    and fills; `support` is the (i, j) _pair_support. One section per
-    support pair whose x or y is not yet in a class."""
+    """congruences for the frame of `sections`, whose sections it reads and
+    pins; `support` is the (i, j) _pair_support. Each class test is one
+    witness lookup, made only for support pairs whose x or y is not yet in
+    a class."""
+    get = sections.get
+    values = range(sections.phi.q)
+    k = j - i - 1
     forward: list = []
     backward: list = []
     rows: set = set()
@@ -128,13 +138,15 @@ def _congruences(sections: SectionCache, i: int, j: int, support: dict) -> Congr
     for (x, y), t in support.items():
         if x in rows and y in cols:
             continue
-        block = sections.pairs(t[:i])[j - i]
+        p = t[:i]
         if y not in cols:
-            cls = block[x]
+            w = get(p + (x,)).witness
+            cls = [b for b in values if (b, k) in w]
             forward.append(cls)
             cols.update(cls)
         if x not in rows:
-            cls = [x2 for x2, ends in block.items() if y in ends]
+            w = get(p).witness
+            cls = [a for a in values if (a, 0) in w and (y, k) in get(p + (a,)).witness]
             backward.append(cls)
             rows.update(cls)
     return CongruencePair(
@@ -151,88 +163,69 @@ def count_frame(
 ) -> int:
     """Size of the relation generated by a frame.
 
+    Every stage (i, j) starts from the (i, j) _pair_support; the base
+    stages (i = 0) count it, the later ones weight it by the quotient
+    reconstructed from the classes that _congruences reads off the witness
+    maps of one shared SectionCache's sections, with no pair closures.
     With verify=True the margin constancy the reconstruction relies on is
     re-checked on every congruence class; violations raise
     NotBalancedError, as do inconsistent margins or non-integral
-    reconstructed entries. A `trace` list receives one CountStep per stage.
-    `variables[p]` names position p in those errors and steps; it defaults
-    to tuple(range(arity)).
+    reconstructed entries. A `trace` list receives one CountStep per
+    stage. `variables[p]` names position p in those errors and steps; it
+    defaults to tuple(range(arity)), and a tuple of another length raises
+    ValueError.
     """
+    n = frame.arity
+    if variables is None:
+        variables = tuple(range(n))
+    elif len(variables) != n:
+        raise ValueError("%d names in variables, frame arity %d" % (len(variables), n))
     if frame.is_empty():
         return 0
-    n = frame.arity
     if n == 0:
         return 1
     if n == 1:
         return len(frame.projection(0))
 
     sections = SectionCache(frame, phi)
-    if variables is None:
-        variables = tuple(range(n))
     counts: dict = {}
-    # the base stages read the root frame's (0, j) pair closures
-    root = sections.pairs(())
-    for j in range(1, n):
-        vals: dict = {}
-        for ends in root[j].values():
-            for y in ends:
-                vals[y] = vals.get(y, 0) + 1
-        counts[(0, j)] = vals
-        if trace is not None:
-            support = frozenset((x, y) for x, ends in root[j].items() for y in ends)
-            trace.append(
-                CountStep(0, j, support, None, None, PrefixCounts(0, j, dict(vals)), variables)
-            )
-
-    for i in range(1, n - 1):
+    for i in range(n - 1):
         for j in range(i + 1, n):
             support = _pair_support(frame, phi, i, j)
-            cong = _congruences(sections, i, j, support)
-            row_rep = {x: min(c) for c in cong.backward for x in c}
-            col_rep = {y: min(c) for c in cong.forward for y in c}
-            row_counts = counts[(i - 1, i)]
-            col_counts = counts[(i - 1, j)]
-            if verify:
-                for part, stage in ((cong.backward, row_counts), (cong.forward, col_counts)):
-                    for cls in part:
-                        if len({stage[v] for v in cls}) != 1:
-                            raise NotBalancedError(
-                                "stage counts are not constant on a congruence class",
-                                (variables[i], variables[j]),
-                            )
-            row_totals = {r: row_counts[r] for r in set(row_rep.values())}
-            col_totals = {c: col_counts[c] for c in set(col_rep.values())}
-            # The quotient support has one vertex per class; its blocks are
-            # its rows grouped by column set, None if they are not complete.
-            quotient_blocks = _bipartite_blocks({(row_rep[x], col_rep[y]) for x, y in support})
-            if quotient_blocks is None:
-                raise NotBalancedError(
-                    "reconstruction failed",
-                    (variables[i], variables[j]),
-                    "the quotient support is not a union of complete blocks",
-                )
-            try:
-                quotient = reconstruct_rank_one(quotient_blocks, row_totals, col_totals)
-            except ReconstructionError as e:
-                raise NotBalancedError(
-                    "reconstruction failed", (variables[i], variables[j]), str(e)
-                ) from e
-            vals = {}
+            cong = quotient = None
+            if i:
+                cong = _congruences(sections, i, j, support)
+                row_rep = {x: min(c) for c in cong.backward for x in c}
+                col_rep = {y: min(c) for c in cong.forward for y in c}
+                row_counts = counts[(i - 1, i)]
+                col_counts = counts[(i - 1, j)]
+                pair = (variables[i], variables[j])
+                if verify:
+                    for part, stage in ((cong.backward, row_counts), (cong.forward, col_counts)):
+                        for cls in part:
+                            if len({stage[v] for v in cls}) != 1:
+                                raise NotBalancedError(
+                                    "stage counts are not constant on a congruence class", pair
+                                )
+                row_totals = {r: row_counts[r] for r in set(row_rep.values())}
+                col_totals = {c: col_counts[c] for c in set(col_rep.values())}
+                # The quotient support has one vertex per class; its blocks
+                # are its rows grouped by column set, None if not complete.
+                blocks = _bipartite_blocks({(row_rep[x], col_rep[y]) for x, y in support})
+                if blocks is None:
+                    detail = "the quotient support is not a union of complete blocks"
+                    raise NotBalancedError("reconstruction failed", pair, detail)
+                try:
+                    quotient = reconstruct_rank_one(blocks, row_totals, col_totals)
+                except ReconstructionError as e:
+                    raise NotBalancedError("reconstruction failed", pair, str(e)) from e
+            vals: dict = {}
             for x, y in support:
-                vals[y] = vals.get(y, 0) + quotient.get(row_rep[x], col_rep[y])
+                vals[y] = vals.get(y, 0) + (quotient.get(row_rep[x], col_rep[y]) if i else 1)
             counts[(i, j)] = vals
             if trace is not None:
-                trace.append(
-                    CountStep(
-                        i,
-                        j,
-                        frozenset(support),
-                        cong,
-                        quotient,
-                        PrefixCounts(i, j, dict(vals)),
-                        variables,
-                    )
-                )
+                tally = PrefixCounts(i, j, dict(vals))
+                trace.append(CountStep(i, j, frozenset(support), cong, quotient, tally, variables))
     return sum(counts[(n - 2, n - 1)].values())
 
 

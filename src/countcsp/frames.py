@@ -359,17 +359,6 @@ def _walk(frame: Frame, phi: MaltsevOp, seed: tuple, rows: dict, witness: dict, 
                 witness[(b, i)] = rows.setdefault(u, len(rows))
 
 
-def _pair_index(frame: Frame, phi: MaltsevOp) -> list:
-    """Per position i >= 1 the (0, i) pair closure grouped as
-    a -> {b: the tuple through (a, b)}, for counting (SectionCache.pairs)."""
-    pairs: list = [{} for _ in range(frame.arity)]
-    if frame.rows:
-        for i in range(1, frame.arity):
-            for t in closure_project(frame.rows, phi, (0, i)):
-                pairs[i].setdefault(t[0], {})[t[i]] = t
-    return pairs
-
-
 def _fix_first(frame: Frame, phi: MaltsevOp, a: int) -> Frame:
     """Frame for the section "first coordinate pinned to a", one arity lower.
 
@@ -402,20 +391,22 @@ class SectionCache:
     Counting and congruence computations pin many nested prefixes of the
     same frame; caching by prefix builds each section once, from its parent
     by one witness walk. One count shares one cache among all of its
-    congruences, which read both classes off the sections' pair closures
-    (pairs, built on demand); add_constraint reads the sections (get).
+    congruences, which read both classes off the sections' witness maps;
+    add_constraint reads the sections too.
     """
 
     def __init__(self, frame: Frame, phi: MaltsevOp):
         self.frame = frame
         self.phi = phi
         self._cache: dict = {(): frame}
-        self._pairs: dict = {}
 
     def get(self, values: Sequence[int]) -> Frame:
         values = tuple(values)
         cache = self._cache
-        k = len(values)
+        f = cache.get(values)
+        if f is not None:
+            return f
+        k = len(values) - 1
         while values[:k] not in cache:
             k -= 1
         f = cache[values[:k]]
@@ -423,16 +414,6 @@ class SectionCache:
             f = _fix_first(f, self.phi, values[m])
             cache[values[:m + 1]] = f
         return f
-
-    def pairs(self, values: Sequence[int]) -> list:
-        """The pair closures of the section at this prefix: per position
-        k >= 1 of the section, its (0, k) closure grouped as
-        a -> {b: the tuple through (a, b)}. Memoized per prefix."""
-        values = tuple(values)
-        pairs = self._pairs.get(values)
-        if pairs is None:
-            pairs = self._pairs[values] = _pair_index(self.get(values), self.phi)
-        return pairs
 
 
 def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> Frame:

@@ -293,6 +293,25 @@ def test_non_rectangular_quotient_is_not_balanced(monkeypatch):
     assert str(exc.value).startswith("reconstruction failed at pair (5, 6): ")
 
 
+@pytest.mark.parametrize("variables", [(7,), (0, 1), (0, 1, 2, 3)])
+def test_variables_of_the_wrong_length_are_rejected(variables):
+    # checked before any stage: not an IndexError, nor the rank_defect
+    # frame's own NotBalancedError, nor steps that carry the wrong tuple
+    st = rank_defect_structure()
+    phi = find_maltsev(st)
+    frame = build_frame(st, phi, Instance(3, [("R", (1, 2, 0))]))
+    with pytest.raises(NotBalancedError, match=r"reconstruction failed at pair \(1, 2\)"):
+        count_frame(frame, phi)
+    message = "%d names in variables, frame arity 3" % len(variables)
+    with pytest.raises(ValueError, match=message):
+        count_frame(frame, phi, variables=variables)
+    trace: list = []
+    balanced = build_frame(XOR3, MIN2, Instance(3, [("XOR3", (0, 1, 2))]))
+    with pytest.raises(ValueError, match=message):
+        count_frame(balanced, MIN2, trace=trace, variables=variables)
+    assert trace == []
+
+
 def test_balance_matrix():
     inst = Instance(3, [("R", (0, 1, 2))])
     m = balance_matrix(rank_defect_structure(), inst, 0, 1)

@@ -1,7 +1,7 @@
 """Package-level checks: the public name list, the import layering between
-modules, unused imports, where the byte-table cap is read, who builds the
-pair index, that every function the benchmark's tracer wraps exists, and
-the demos running end to end."""
+modules, unused imports, where the byte-table cap is read, that counting
+reads sections without pair closures, that every function the benchmark's
+tracer wraps exists, and the demos running end to end."""
 
 import ast
 import importlib
@@ -99,8 +99,8 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_counting_pins_no_frames():
-    # congruences read sections and their pair closures; no count adds a
-    # constraint to its frame
+    # congruences read the sections' witness maps, with no pair closures;
+    # no count adds a constraint to its frame
     assert "add_constraint" not in _package_imports("counting").get("frames", set())
     assert not hasattr(countcsp.counting, "add_constraint")
 
@@ -127,14 +127,19 @@ def _callers(name: str) -> list:
 
 
 def test_sections_are_walked_without_a_pair_index():
-    # the (0, i) pair index is built for counting alone; a section is
+    # classes come off the sections' witness maps: no pair index exists, a
+    # stage's (i, j) support is counting's one closure, and a section is
     # walked from its parent and the pinned value
-    assert _callers("_pair_index") == ["frames.SectionCache.pairs"]
-    fix_first = next(
-        n for n in ast.walk(_tree("frames"))
-        if isinstance(n, ast.FunctionDef) and n.name == "_fix_first"
-    )
-    assert [a.arg for a in fix_first.args.args] == ["frame", "phi", "a"]
+    tree = _tree("frames")
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_pair_index" not in functions
+    cache = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SectionCache")
+    names = {n.name for n in cache.body if isinstance(n, ast.FunctionDef)}
+    names |= {n.attr for n in ast.walk(cache) if isinstance(n, ast.Attribute)}
+    assert not {"pairs", "_pairs"} & names
+    callers = _callers("closure_project")
+    assert [c for c in callers if c.startswith("counting.")] == ["counting._pair_support"]
+    assert [a.arg for a in functions["_fix_first"].args.args] == ["frame", "phi", "a"]
 
 
 def test_every_tracer_target_resolves():

@@ -1,6 +1,6 @@
 """Prefix sections are built once per count, and neither sharing them,
 growing frames as variables appear, reading congruences off the sections'
-pair closures, nor counting connected components apart in their own
+witness maps, nor counting connected components apart in their own
 constraint order changes a generated relation or count.
 
 The count-and-trace digests were recorded with a fresh section cache per
@@ -36,6 +36,10 @@ first, then highest variable first): the battery's instances are now added
 in that order, so some rows changed. Pinning add_constraint's sections on
 the frame's head, which came with it, moved no dump. The counts, traces
 and relations did not move, nor did diag3's and constants' frame dumps.
+
+No digest moved when both congruences came to be read off the sections'
+witness maps, with no pair closures per section, and the base stages off
+their own (0, j) pair supports, in the one stage loop of count_frame.
 """
 
 import hashlib
@@ -144,12 +148,18 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # closures into 2,061, each onto one index, and pinned the same sections.
     # Pinning add_constraint's sections on the frame's head, cut after the
     # constraint's last scope variable, made 2,061 into 1,602: the same
-    # sections, each walked only as far as the harvest reads it.
-    assert calls == {"closure_project": 1602, "_fix_first": 107, "projection": 0}
-    # count_frame alone reads both classes off one section's pair closure
-    # (the two readings above made 835 closures, 70 sections and 855
-    # projection scans; sections walked one index at a time made 685 into
-    # 1,233), and it pins no frame: it adds no constraint
+    # sections, each walked only as far as the harvest reads it. Reading
+    # both classes off the sections' witness maps, with no (0, i) pair
+    # closures per section, made 1,602 closures into 1,110 and 107 sections
+    # into 110: the three new sections pin n - 1 values, the children the
+    # last stage (i = n - 2) reads.
+    assert calls == {"closure_project": 1110, "_fix_first": 110, "projection": 0}
+    # count_frame alone reads both classes off the sections' witness maps,
+    # one lookup per class test (the two readings above made 835 closures,
+    # 70 sections and 855 projection scans; one section's pair closure 685
+    # closures, and with sections walked one index at a time 1,233 closures
+    # and 53 sections; witness maps made that 741 and 56), and it pins no
+    # frame: it adds no constraint
     frame = build_frame(st, phi, inst)
     calls.update(dict.fromkeys(calls, 0), add_constraint=0)
     pin = counted("add_constraint", frames.add_constraint)
@@ -157,4 +167,4 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # a counting module that imports add_constraint calls its own binding
     monkeypatch.setattr(counting, "add_constraint", pin, raising=False)
     assert counting.count_frame(frame, phi) == 4
-    assert calls == {"closure_project": 1233, "_fix_first": 53, "projection": 0, "add_constraint": 0}
+    assert calls == {"closure_project": 741, "_fix_first": 56, "projection": 0, "add_constraint": 0}
