@@ -31,6 +31,17 @@ through an element only at the least position of each class, and keeps one
 tuple per orbit of that position's stabiliser, the one whose values are
 sorted within each class. That is up to 6 times fewer checks for XOR3 and
 24 for XOR4, with the same candidates, nodes and images.
+
+Many quadruples ask the same question. The sweep keeps the image table of
+every automorphism it finds, and before searching a quadruple it tries
+them: each map and its inverse, conjugated by the swap of coordinates
+(0,1,2) with (3,4,5) or not, and then by each permutation of the domain
+that maps every relation onto itself. Each try is two table lookups. A
+quadruple one of them settles is not searched. Quadruples go in the same
+order as without the maps and each search gets the same budget, so a
+NOT_BALANCED witness is the same quadruple, and a TIMEOUT can only move to
+a later quadruple or become BALANCED. On diag3 one search settles all 54
+quadruples, and on x+y=0 (mod 5) three settle all 500.
 """
 
 from __future__ import annotations
@@ -431,6 +442,92 @@ class _PowerSearchContext:
             level += 1
 
 
+def _domain_automorphisms(structure: RelationalStructure) -> list:
+    """Every permutation of the domain that maps each relation onto itself,
+    as image tuples in lexicographic order, the identity first. Values get
+    their images in turn, and a partial map is dropped as soon as a tuple
+    whose values are all mapped leaves its relation. Into is enough: a
+    permutation maps a finite relation injectively into itself, hence
+    onto."""
+    q = structure.domain_size
+    # per value v: the tuples, with their relation's rows, whose largest value is v
+    closing: list = [[] for _ in range(q)]
+    for rel in structure.relations.values():
+        rows = set(rel)
+        for t in rows:
+            if t:
+                closing[max(t)].append((t, rows))
+    out: list = []
+    image: list = []
+
+    def extend(v: int) -> None:
+        if v == q:
+            out.append(tuple(image))
+            return
+        for w in range(q):
+            if w in image:
+                continue
+            image.append(w)
+            if all(tuple(image[u] for u in t) in rows for t, rows in closing[v]):
+                extend(v + 1)
+            image.pop()
+
+    extend(0)
+    return out
+
+
+class _AutomorphismPool:
+    """The image tables of the automorphisms the sweep has found, and the
+    symmetries that carry each of them to other quadruples.
+
+    Let F be an automorphism of A^6 and tau = sigma pi^s, where sigma is a
+    domain automorphism (one that maps every relation onto itself) acting
+    digit by digit and pi swaps coordinates (0,1,2) with (3,4,5). Both map
+    every power relation onto itself, so G = tau F^e tau^-1 (e = +-1) is an
+    automorphism too, and G(x) = y exactly when F^e(tau^-1 x) = tau^-1 y.
+    So whether G settles a quadruple is two lookups in F's table, at the
+    pattern's elements pulled back by tau: G fixes `fixed` iff F fixes its
+    pullback, and G sends `source` to `target` iff F sends the pullback of
+    source to that of target (e = 1) or that of target to that of source
+    (e = -1). No map is built. The domain automorphisms are found the first
+    time a stored map is tried, so a sweep that stops at its first
+    quadruple never looks for them."""
+
+    def __init__(self, structure: RelationalStructure):
+        self.structure = structure
+        self.q = structure.domain_size
+        self.maps: list = []
+        self._pullbacks: Optional[list] = None
+
+    def settle(self, pat: PatternTriple) -> Optional[tuple]:
+        """(map index, sigma, swap, inverse) of the first transport found
+        that settles pat, with sigma as an image tuple and swap and inverse
+        as booleans; None when no stored map settles it."""
+        if not self.maps:
+            return None
+        if self._pullbacks is None:
+            self._pullbacks = [
+                (sigma, tuple(sorted(range(self.q), key=sigma.__getitem__)), swap)
+                for sigma in _domain_automorphisms(self.structure)
+                for swap in (False, True)
+            ]
+        q = self.q
+        for sigma, sigma_inv, swap in self._pullbacks:
+            pulled = []
+            for digits in (pat.fixed_digits, pat.source_digits, pat.target_digits):
+                ds = tuple(sigma_inv[v] for v in digits)
+                pulled.append(encode(ds[3:] + ds[:3] if swap else ds, q))
+            fixed, source, target = pulled
+            for i, f in enumerate(self.maps):
+                if f[fixed] != fixed:
+                    continue
+                if f[source] == target:
+                    return (i, sigma, swap, False)
+                if f[target] == source:
+                    return (i, sigma, swap, True)
+        return None
+
+
 def find_automorphism(
     structure: RelationalStructure,
     k: int,
@@ -523,7 +620,10 @@ def refute_balance(structure: RelationalStructure) -> Optional[Refutation]:
 @dataclass(frozen=True)
 class DichotomyVerdict:
     """Outcome of the full decision procedure, with whichever witness the
-    deciding stage produced."""
+    deciding stage produced. quadruples_checked counts the sweep's
+    quadruples up to where it stopped, that one included: those settled by
+    a search and those settled by a map already found alike, so a
+    BALANCED sweep checks all q^3(q-1)."""
 
     kind: str
     maltsev: Optional[MaltsevOp] = None
@@ -544,7 +644,8 @@ def decide_strong_balance(
     """Classify a language: BALANCED (counting is tractable),
     NOT_STRONGLY_RECTANGULAR or NOT_BALANCED (counting is as hard as any
     counting problem), or TIMEOUT if some automorphism search exceeds its
-    per-quadruple node budget. Deterministic for fixed inputs and budgets;
+    per-quadruple node budget; the witness quadruple is then the first
+    searched one that ran out. Deterministic for fixed inputs and budgets;
     a negative budget is a ValueError whatever the language."""
     SearchBudget(max_nodes)  # rejects a negative budget before any stage runs
     op, violation = find_maltsev_with_certificate(structure)
@@ -556,14 +657,17 @@ def decide_strong_balance(
     if refutation is not None:
         return DichotomyVerdict(VERDICT_NOT_BALANCED, maltsev=op, refutation=refutation)
     ctx = _PowerSearchContext(structure, 6)
+    pool = _AutomorphismPool(structure)
     q = structure.domain_size
     checked = 0
     for a, b, c, d in itertools.product(range(q), repeat=4):
         if c == d:
             continue
         pat = patterns(q, a, b, c, d)
-        fixes = {pat.fixed: pat.fixed, pat.source: pat.target}
         checked += 1
+        if pool.settle(pat) is not None:
+            continue
+        fixes = {pat.fixed: pat.fixed, pat.source: pat.target}
         try:
             image = ctx.search(fixes, SearchBudget(max_nodes))
         except BudgetExhausted:
@@ -580,6 +684,7 @@ def decide_strong_balance(
                 quadruple=(a, b, c, d),
                 quadruples_checked=checked,
             )
+        pool.maps.append(image)
     return DichotomyVerdict(VERDICT_BALANCED, maltsev=op, quadruples_checked=checked)
 
 

@@ -23,6 +23,8 @@ from countcsp.dichotomy import (
     VERDICT_NOT_BALANCED,
     VERDICT_NOT_STRONGLY_RECTANGULAR,
     VERDICT_TIMEOUT,
+    _AutomorphismPool,
+    _domain_automorphisms,
     _join,
     _PowerSearchContext,
     default_refutation_formulas,
@@ -370,14 +372,17 @@ SWEEP_PINS = {
 }
 
 
+SWEEP_STRUCTURES = {
+    "xor3": xor3_structure,
+    "constants": constants_structure,
+    "diag3": lambda: diagonal_structure(3),
+    "even_parity4": even_parity4_structure,
+}
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_PINS))
 def test_sweep_steps_and_witnesses(name):
-    structure = {
-        "xor3": xor3_structure,
-        "constants": constants_structure,
-        "diag3": lambda: diagonal_structure(3),
-        "even_parity4": even_parity4_structure,
-    }[name]()
+    structure = SWEEP_STRUCTURES[name]()
     _, sweep = _sweep(structure)
     assert [(p.quadruple, used, _digest(image)) for p, used, image in sweep] == SWEEP_PINS[name]
     for pat, _, image in sweep:
@@ -453,3 +458,159 @@ def test_affine3_timeout_is_pinned_and_enumerates_only_reached_elements():
     # their tuples enumerated, or their checks built.
     assert len(ctx._through) < ctx.size // 10
     assert 0 < len(ctx._checks) < ctx.size // 10
+
+
+def _mod5_structure():
+    """x + y = 0 (mod 5): its domain automorphisms are the 8 permutations
+    that commute with negation."""
+    return RelationalStructure(5, {"NEG": Relation(2, [(x, -x % 5) for x in range(5)])})
+
+
+@pytest.mark.parametrize(
+    "make, size",
+    [
+        (xor3_structure, 1),
+        (constants_structure, 1),
+        (even_parity4_structure, 2),
+        (lambda: diagonal_structure(3), 6),
+        (_affine3_structure, 6),
+        (_mod5_structure, 8),
+        (lambda: disequality_structure(3), 6),
+        *((lambda s=s: s, None) for s in FEWER_SYMMETRIES.values()),
+    ],
+)
+def test_domain_automorphisms_are_every_permutation_keeping_each_relation(make, size):
+    structure = make()
+    q = structure.domain_size
+    brute = [
+        sigma
+        for sigma in itertools.permutations(range(q))
+        if all(
+            {tuple(sigma[v] for v in t) for t in rel} == set(rel)
+            for rel in structure.relations.values()
+        )
+    ]
+    got = _domain_automorphisms(structure)
+    assert got == brute
+    assert got[0] == tuple(range(q))
+    assert size is None or len(got) == size
+
+
+def _settlements(monkeypatch, structure):
+    """decide_strong_balance's verdict, the maps its sweep searched for, in
+    order, and per quadruple that a stored map settled, its pattern and
+    settlement record."""
+    settled = []
+    pools = []
+    settle = _AutomorphismPool.settle
+
+    def recording(pool, pat):
+        pools.append(pool)
+        how = settle(pool, pat)
+        if how is not None:
+            settled.append((pat, how))
+        return how
+
+    monkeypatch.setattr(_AutomorphismPool, "settle", recording)
+    verdict = decide_strong_balance(structure)
+    return verdict, pools[-1].maps, settled
+
+
+def _transported(q, maps, how):
+    """tau F^e tau^-1 as an image table, rebuilt from a settlement record
+    (map index, sigma, swap, inverse): F is the map's table, e is -1 with
+    inverse, and tau applies sigma to every digit and then, with swap,
+    exchanges coordinates (0,1,2) and (3,4,5)."""
+    i, sigma, swap, inverse = how
+    f = list(maps[i])
+    if inverse:
+        for x, y in enumerate(maps[i]):
+            f[y] = x
+    points = list(itertools.product(range(q), repeat=6))
+    index = {digits: x for x, digits in enumerate(points)}
+    tau = []
+    for digits in points:
+        image = tuple(sigma[v] for v in digits)
+        tau.append(index[image[3:] + image[:3] if swap else image])
+    tau_inv = [0] * len(tau)
+    for x, y in enumerate(tau):
+        tau_inv[y] = x
+    return tuple(tau[f[tau_inv[x]]] for x in range(len(f)))
+
+
+# language -> searches its sweep runs; the other quadruples are settled by
+# maps in hand. Each map settles several quadruples on its own; without
+# domain automorphisms diag3 needs 4 searches.
+SEARCHES = {"xor3": 2, "constants": 1, "even_parity4": 1, "diag3": 1}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_STRUCTURES))
+def test_every_transported_map_is_an_automorphism(monkeypatch, name):
+    structure = SWEEP_STRUCTURES[name]()
+    q = structure.domain_size
+    verdict, maps, settled = _settlements(monkeypatch, structure)
+    assert (verdict.kind, verdict.quadruples_checked) == (
+        VERDICT_BALANCED, 8 if q == 2 else 54
+    )
+    assert len(maps) == SEARCHES[name]
+    assert len(settled) == verdict.quadruples_checked - len(maps)
+    # the maps searched for are the plain sweep's, at the quadruples that
+    # no earlier map settles
+    _, sweep = _sweep(structure)
+    skipped = {pat.quadruple for pat, _ in settled}
+    assert maps == [image for pat, _, image in sweep if pat.quadruple not in skipped]
+    checked = set()
+    for pat, how in settled:
+        image = _transported(q, maps, how)
+        assert image[pat.fixed] == pat.fixed, (pat.quadruple, how)
+        assert image[pat.source] == pat.target, (pat.quadruple, how)
+        if image not in checked:
+            assert helpers.is_power_automorphism(structure, 6, image), (pat.quadruple, how)
+            checked.add(image)
+    # inverses settle quadruples everywhere, the coordinate swap on the
+    # q = 2 parities, and on diag3 a 3-cycle, which is not its own inverse
+    used = [how for _, how in settled]
+    assert any(inverse for _, _, _, inverse in used)
+    if name in ("xor3", "even_parity4"):
+        assert any(swap for _, _, swap, _ in used)
+    if name == "diag3":
+        assert (1, 2, 0) in {sigma for _, sigma, _, _ in used}
+
+
+@pytest.mark.parametrize("max_nodes", [0, 1, 63, 64, 200, 211, 352, 353])
+def test_maps_in_hand_only_postpone_a_stop_or_settle_it(max_nodes):
+    # skipping a quadruple that a stored map settles moves a TIMEOUT later
+    # or makes it BALANCED; a stop is never earlier than the plain sweep's
+    structure = xor3_structure()
+    _, sweep = _sweep(structure, max_nodes)
+    plain, _, image = sweep[-1]
+    stopped = image in (None, "TIMEOUT")
+    v = decide_strong_balance(structure, max_nodes=max_nodes)
+    if v.kind == VERDICT_BALANCED:
+        assert not stopped or image == "TIMEOUT"
+        assert v.quadruples_checked == 8
+    else:
+        assert stopped
+        assert v.quadruples_checked >= len(sweep)
+        order = [t for t in itertools.product((0, 1), repeat=4) if t[2] != t[3]]
+        assert order.index(v.quadruple) == v.quadruples_checked - 1
+        if image is None:
+            assert (v.kind, v.quadruple) == (VERDICT_NOT_BALANCED, plain.quadruple)
+        else:
+            assert v.kind == VERDICT_TIMEOUT
+    # the first quadruple is always searched; the second search, at
+    # (1, 1, 0, 1), needs 156 nodes
+    assert (v.kind, v.quadruple, v.quadruples_checked) == (
+        (VERDICT_TIMEOUT, (0, 0, 0, 1), 1) if max_nodes < 64
+        else (VERDICT_TIMEOUT, (1, 1, 0, 1), 7) if max_nodes < 156
+        else (VERDICT_BALANCED, None, 8)
+    )
+
+
+def test_mod5_is_balanced_in_three_searches(monkeypatch):
+    # the plain sweep searches all 500 quadruples, about 2 s each
+    start = time.perf_counter()
+    verdict, maps, settled = _settlements(monkeypatch, _mod5_structure())
+    assert time.perf_counter() - start < 60
+    assert (verdict.kind, verdict.quadruples_checked) == (VERDICT_BALANCED, 500)
+    assert (len(maps), len(settled)) == (3, 497)

@@ -1,11 +1,13 @@
 """Package-level checks: the public name list, the import layering between
 modules, unused imports, where the byte-table cap is read, that counting
 reads sections without pair closures, that every function the benchmark's
-tracer wraps exists, and the demos running end to end."""
+tracer wraps exists, that a short traced benchmark run ends in a strict
+JSON line, and the demos running end to end."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -152,6 +154,29 @@ def test_every_tracer_target_resolves():
         importlib.import_module("countcsp." + layer)
     targets = [(layer, path) for layer, path, _ in tracer.TARGETS]
     assert [t for t in targets if tracer._resolve(*t) is None] == []
+
+
+def _reject_constant(name):
+    raise ValueError("non-finite number %s in the benchmark's JSON line" % name)
+
+
+def test_traced_benchmark_run_ends_in_a_strict_json_line():
+    # the benchmark reads a run's last line as its result: it must parse
+    # without NaN or Infinity, report every op correct and no null metric
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "analyze",
+         "--seed", "3", "--seconds", "0.5", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True
+    assert result["failed"] == 0 < result["attempted"]
+    assert result["metrics"]
+    assert [k for k, m in result["metrics"].items() if m["value"] is None] == []
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
