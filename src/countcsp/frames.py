@@ -15,10 +15,12 @@ free coordinate when a constraint first mentions one. It chooses the order
 in which constraints are added (fewest distinct variables first, then
 highest variable first), whatever order the instance lists them in, so
 each addition reaches few positions past its scope. An addition reads
-prefix sections only up to its last scope position, so add_constraint pins
-them on the frame's head there, a frame of the projection onto those
-positions, and lifts the rows it harvests back to full rows by the
-witness walk.
+the conjunction only up to its last scope position, off the frame's head
+there, a frame of the projection onto those positions: span's level walk
+of the head, capped at q^|J| tuples for a scope J, gives the projection
+and its classes, and only a walk past the cap closes the scope and pins
+sections on the head. The rows it takes are lifted back to full rows by
+the witness walk.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -220,6 +222,13 @@ def span(frame: Frame, phi: MaltsevOp) -> Relation:
     """
     if frame.arity < 1:
         raise ValueError("span needs positive arity")
+    return Relation(frame.arity, _levels(frame, phi))
+
+
+def _levels(frame: Frame, phi: MaltsevOp, cap: Optional[int] = None) -> Optional[list]:
+    """span's level walk: the generated relation as a list, one tuple per
+    prefix at each level, or None as soon as a level holds more than `cap`
+    tuples."""
     level = [frame.witness_row(a, 0) for a in frame.projection(0)]
     for i in range(1, frame.arity):
         class_of = {a: cls for cls in frame.prefix_groups()[i].values() for a in cls}
@@ -228,8 +237,10 @@ def span(frame: Frame, phi: MaltsevOp) -> Relation:
             if (t[i], i) not in frame.witness:
                 raise ValueError("no witness for value %r at position %d" % (t[i], i))
             nxt.extend(_swap_in(frame, phi, t, i, class_of[t[i]]).values())
+        if cap is not None and len(nxt) > cap:
+            return None
         level = nxt
-    return Relation(frame.arity, level)
+    return level
 
 
 def _insert_free(frame: Frame, p: int, q: int) -> Frame:
@@ -419,20 +430,31 @@ class SectionCache:
 def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> Frame:
     """Small frame for (generated relation) AND relation(scope variables).
 
-    The filtered closure onto the scope decides emptiness; its first tuple
-    seeds one-index closures of the rows gathered so far, which meet every
-    shared-prefix class of the conjunction (see _walk). Up to the last scope
-    variable each such tuple t with an unwitnessed value has its prefix
-    pinned, and the filtered projection inside that section harvests t[i]'s
-    class with common-prefix witnesses. The sections are pinned on the
-    frame's head, its rows cut after the last scope variable and its
-    witnesses up to it: the frame invariants at position i concern
-    positions up to i only, so the head is a frame of the projection onto
-    those positions, and every harvested head row is lifted back to a row
-    of the frame by the witness walk (_lift). Past the last scope variable the
-    surviving classes are the frame's own: if p.b.. and p.b'.. are in R and
-    p'.b.. satisfies the constraint, so does phi(p'.b.., p.b.., p.b'..) =
-    p'.b'... So the rest is _walk, without sections. Then shrinks.
+    Up to the last scope variable the conjunction is read off the frame's
+    head, its rows cut after that variable and its witnesses up to it: the
+    frame invariants at position i concern positions up to i only, so the
+    head is a frame of the projection onto those positions. A head row with
+    an unwitnessed value raises ValueError. span's level walk of the head,
+    kept to the tuples whose scope values satisfy the constraint, is the
+    conjunction's projection there; none kept means no solution. At each
+    position i the kept tuples with one i-prefix carry a whole class of the
+    conjunction (rectangularity), and the walk lists them together, so the
+    first kept tuple with each value at i witnesses it, and a class's
+    witnesses share a prefix. Every witnessing head row is lifted back to a
+    row of the frame by the witness walk (_lift).
+
+    The walk stops once a level holds more than q^|J| tuples, J the scope;
+    no level does when J is all of 0..last. Then the filtered closure onto
+    the scope decides emptiness, and its first tuple seeds one-index
+    closures of the rows gathered so far, which meet every class of the
+    conjunction (see _walk); each such tuple t with an unwitnessed value
+    has its prefix pinned on the head, and the filtered projection inside
+    that section harvests t[i]'s class.
+
+    Past the last scope variable the surviving classes are the frame's own:
+    if p.b.. and p.b'.. are in R and p'.b.. satisfies the constraint, so
+    does phi(p'.b.., p.b.., p.b'..) = p'.b'... So the rest is _walk,
+    without sections. Then shrinks.
     """
     n = frame.arity
     relation, scope = collapse_scope(relation, scope)
@@ -442,10 +464,6 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     if frame.is_empty() or not relation.tuples:
         return empty_frame(n)
     J = sorted(scope)
-    sat = closure_project(frame.rows, phi, J)
-    seed = next((t for t in sat if tuple(t[v] for v in scope) in relation), None)
-    if seed is None:
-        return empty_frame(n)
     last = J[-1]
     head = frame
     if last + 1 < n:
@@ -454,27 +472,51 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
             (r[:last + 1] for r in frame.rows),
             {(a, i): k for (a, i), k in frame.witness.items() if i <= last},
         )
-    sections = SectionCache(head, phi)
+    if any((a, i) not in head.witness for r in head.rows for i, a in enumerate(r)):
+        raise ValueError("inputs violate the frame invariants")
     rows: dict = {}  # row -> index, in index order
     witness: dict = {}
-    for i in range(last + 1):
-        Jp = sorted({v - i for v in J if v >= i} | {0})
-        for t in closure_project([*reversed(rows), seed], phi, (i,)):
-            if (t[i], i) in witness:
-                continue
-            prefix = t[:i]
-            found: dict = {}
-            for s in closure_project(sections.get(prefix).rows, phi, Jp):
-                full = prefix + s
-                if s[0] not in found and tuple(full[v] for v in scope) in relation:
-                    found[s[0]] = full
-            if t[i] not in found:
-                raise ValueError("inputs violate the frame invariants")
-            for a in sorted(found):
-                row = found[a] if head is frame else _lift(frame, phi, found[a])
-                if row is None:
+
+    def take(h: tuple, i: int) -> None:
+        row = h if head is frame else _lift(frame, phi, h)
+        if row is None:
+            raise ValueError("inputs violate the frame invariants")
+        witness[(h[i], i)] = rows.setdefault(row, len(rows))
+
+    try:
+        level = _levels(head, phi, phi.q ** len(J))
+    except ValueError:
+        raise ValueError("inputs violate the frame invariants") from None
+    if level is not None:
+        kept = [h for h in level if tuple(h[v] for v in scope) in relation]
+        if not kept:
+            return empty_frame(n)
+        for i in range(last + 1):
+            for h in kept:
+                if (h[i], i) not in witness:
+                    take(h, i)
+        seed = next(iter(rows))
+    else:
+        sat = closure_project(frame.rows, phi, J)
+        seed = next((t for t in sat if tuple(t[v] for v in scope) in relation), None)
+        if seed is None:
+            return empty_frame(n)
+        sections = SectionCache(head, phi)
+        for i in range(last + 1):
+            Jp = sorted({v - i for v in J if v >= i} | {0})
+            for t in closure_project([*reversed(rows), seed], phi, (i,)):
+                if (t[i], i) in witness:
+                    continue
+                prefix = t[:i]
+                found: dict = {}
+                for s in closure_project(sections.get(prefix).rows, phi, Jp):
+                    full = prefix + s
+                    if s[0] not in found and tuple(full[v] for v in scope) in relation:
+                        found[s[0]] = full
+                if t[i] not in found:
                     raise ValueError("inputs violate the frame invariants")
-                witness[(a, i)] = rows.setdefault(row, len(rows))
+                for a in sorted(found):
+                    take(found[a], i)
     _walk(frame, phi, seed, rows, witness, last + 1)
     return shrink_to_small(Frame(n, rows, witness), phi)
 

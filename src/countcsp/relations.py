@@ -476,15 +476,17 @@ class Instance:
     __slots__ = ("num_vars", "constraints")
 
     def __init__(self, num_vars: int, constraints: Iterable = ()):
-        if num_vars < 0:
-            raise ValueError("variable count must be nonnegative")
+        if not isinstance(num_vars, int) or isinstance(num_vars, bool) or num_vars < 0:
+            raise ValueError("variable count must be a nonnegative int, got %r" % (num_vars,))
         cons = []
         for name, scope in constraints:
             scope = tuple(scope)
             if not scope:
                 raise ValueError("empty scope")
             for v in scope:
-                if not 0 <= v < num_vars:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                    raise ValueError("scope variables are nonnegative ints, got %r" % (v,))
+                if v >= num_vars:
                     raise ValueError("scope variable %d out of range" % v)
             cons.append((str(name), scope))
         self.num_vars = num_vars

@@ -92,10 +92,12 @@ def _append_case(label, st, phi, inst):
 
 
 def _frame_battery():
-    """519 frames: random instances over the three tractable fixture
-    languages, plus a fixed list over the seven-element language (its q**4
-    projection joins make random multi-constraint instances far too slow
-    for a battery, so those cases are curated single-join ones)."""
+    """579 frames: random instances over the three tractable fixture
+    languages, then over the seven-element language a curated list of
+    single-join cases and 60 random instances of up to three variables and
+    five constraints. Past three variables a scope can leave a gap before
+    its first position, and add_constraint then falls back to closures
+    over 7**4 codes, which take seconds to minutes each."""
     if _battery:
         return _battery
     rng = random.Random(4242)
@@ -114,6 +116,7 @@ def _frame_battery():
         Instance(3, [("R", (0, 1, 2)), ("CONST_2", (2,))]),
         Instance(3, [("R", (0, 1, 2)), ("EQ", (0, 1))]),
     ]
+    hard += [random_instance(st, rng, max_vars=3, max_constraints=5) for _ in range(60)]
     for inst in hard:
         _append_case("rankdef", st, phi, inst)
     return _battery

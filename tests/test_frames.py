@@ -15,6 +15,7 @@ from countcsp import (
     build_frame,
     closure_project,
     collapse_scope,
+    count_frame,
     dump,
     find_maltsev,
     fix_prefix,
@@ -258,6 +259,26 @@ def test_classes_before_the_scope_can_split():
     assert span(g, MIN2) == Relation(3, [(0, 0, 0), (1, 1, 0)])
 
 
+def test_a_scope_past_the_walk_bound_is_closed(monkeypatch):
+    # The EQ(k, m + k) links leave 2^m tuples on positions 0..2m-1, and the
+    # walk of that head passes 2^3, the bound for XOR3(0, m - 1, 2m - 1),
+    # at position 3; so that scope is closed instead. x_{m-1} = x_{2m-1}
+    # makes the XOR3 force x0 = 0.
+    m = 8
+    closure = frames.closure_project
+    indices_seen = []
+
+    def counted(rows, phi, indices):
+        indices_seen.append(tuple(indices))
+        return closure(rows, phi, indices)
+
+    monkeypatch.setattr(frames, "closure_project", counted)
+    links = [("EQ", (k, m + k)) for k in range(m)]
+    f = build_frame(XOR3, MIN2, Instance(2 * m, links + [("XOR3", (0, m - 1, 2 * m - 1))]))
+    assert (0, m - 1, 2 * m - 1) in indices_seen
+    assert count_frame(f, MIN2) == 2 ** (m - 1)
+
+
 def test_add_constraint_random_battery():
     rng = random.Random(2024)
     structures = [(XOR3, MIN2), (DIAG3, OP3), (CONSTS, find_maltsev(CONSTS))]
@@ -349,6 +370,23 @@ def test_instance_validation():
         Instance(2, [("R", (2,))])
     inst = Instance(3, [("R", (0, 0, 2))])
     assert inst.constrained_variables() == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "num_vars, scope",
+    [
+        (3, ("a", 1, 2)),  # a comparison raised a raw TypeError
+        (3, (0.5, 1, 2)),  # accepted, and count gave 4
+        (3, (True, 1, 2)),  # accepted as variable 1
+        (3, (-1, 1, 2)),
+        (3.0, (0, 1, 2)),
+        ("3", (0, 1, 2)),
+        (True, (0, 0, 0)),
+    ],
+)
+def test_instance_rejects_variables_that_are_not_nonnegative_ints(num_vars, scope):
+    with pytest.raises(ValueError):
+        Instance(num_vars, [("XOR3", scope)])
 
 
 def test_dump_format():

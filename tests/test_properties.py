@@ -324,6 +324,28 @@ def test_constraint_order_moves_no_count_or_relation(k, seed, data):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1), st.data())
+def test_add_constraint_keeps_the_tuples_that_satisfy_it(k, seed, data):
+    # scopes with gaps, so that both the walk of the frame's head and the
+    # closure it falls back to past q^|J| tuples are reached
+    structure, phi = SECTION_LANGUAGES[k]
+    inst = random_instance(structure, random.Random(seed), max_vars=6, max_constraints=3)
+    frame = build_frame(structure, phi, inst)
+    assume(not frame.is_empty())
+    name = data.draw(st.sampled_from(sorted(structure.relations) + ["EQ", "CONST_0"]))
+    relation = structure.relation(name)
+    positions = st.integers(0, frame.arity - 1)
+    scope = data.draw(st.lists(positions, min_size=relation.arity, max_size=relation.arity))
+    assume(len(set(scope)) <= max(scope))
+    got = add_constraint(frame, phi, relation, scope)
+    want = [t for t in span(frame, phi) if tuple(t[v] for v in scope) in relation]
+    if want:
+        assert span(got, phi) == Relation(frame.arity, want)
+    else:
+        assert got.is_empty()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1))
 def test_lift_extends_exactly_the_prefixes_of_the_relation(k, seed):

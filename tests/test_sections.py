@@ -40,6 +40,12 @@ and relations did not move, nor did diag3's and constants' frame dumps.
 No digest moved when both congruences came to be read off the sections'
 witness maps, with no pair closures per section, and the base stages off
 their own (0, j) pair supports, in the one stage loop of count_frame.
+
+The xor3 and diag3 frame-dump digests were re-recorded when add_constraint
+came to read its scope off span's level walk of the frame's head, with the
+closure and the pinned sections kept only for a walk past q^|J| tuples: the
+walk witnesses each class from other rows. The counts, traces and relations
+did not move, nor did the constants frame dump.
 """
 
 import hashlib
@@ -69,13 +75,13 @@ BATTERY = {
 # the generated relations)
 DIGESTS = {
     "xor3": (
-        "f21664889daa3f8fe92dac6e6ee24746458ef5ae6c808863bac857310f5ec756",
+        "06e93ddb02f891fd70640d54785fbbd16bb5997f1ae981eea47d5e2092a6aa6c",
         "d2c4bae7ac83fdb8a618f478c4cdf1e07ba2752d3098befb181ffded30804a5f",
         "37edf06ab81a23e069e9045a4d507cc5e35d8f4f6015658b80d880eed0a1fb5d",
         "250647245648b597d4216ce7bd7ead8cb68457e50e8f6dd1afa9f39884e0206f",
     ),
     "diag3": (
-        "6f9ce708bcc65ccc069a1c277eef972cc1db7fb2291635b2a9a9ffc6d43474fa",
+        "1fd3228e7de77a09c7edd21bc3f71690d61824b2faf0df5cf7560b6053029048",
         "ef0ce4de7735847d55613e8b6a188330aa2f64a0c3d280bd1d062542e7ffe4bc",
         "e19eb267e33520da4cfa2237c72daa1ff1d24c9382b0d82aed2bb14a6d8ed2e2",
         "fe3c1e08771b03c6a24e6a0b478a8a45d37b2ebf06b447ec63a44a4aea8791ab",
@@ -152,8 +158,13 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # both classes off the sections' witness maps, with no (0, i) pair
     # closures per section, made 1,602 closures into 1,110 and 107 sections
     # into 110: the three new sections pin n - 1 values, the children the
-    # last stage (i = n - 2) reads.
-    assert calls == {"closure_project": 1110, "_fix_first": 110, "projection": 0}
+    # last stage (i = n - 2) reads. Reading each constraint's scope off the
+    # level walk of the frame's head, with no scope closure and no pinned
+    # sections while the walk stays within q^|J| tuples, made 1,110
+    # closures into 894 and 110 sections into 56, the ones count_frame
+    # pins; each walk reads its head's values at position 0 (projection)
+    # once, on the 18 constraints.
+    assert calls == {"closure_project": 894, "_fix_first": 56, "projection": 18}
     # count_frame alone reads both classes off the sections' witness maps,
     # one lookup per class test (the two readings above made 835 closures,
     # 70 sections and 855 projection scans; one section's pair closure 685
