@@ -49,8 +49,10 @@ cols = {y: sum(ok.get(x, y) for x in ok.row_labels) for _, y in support}
 rec = reconstruct_rank_one(_bipartite_blocks(support), rows, cols)
 print("round trip:", rec.to_lists() == ok.to_lists())
 
-# Structures bundle a domain with named relations; elements used by no
-# relation are dropped and the renumbering recorded.
+# Structures bundle a domain with named relations. The domain is the
+# declared one: elements 1 and 3 are in no relation, yet EQ and CONST_<a>
+# range over all four, and resolve looks up each constraint's relation.
 st = RelationalStructure(4, {"D": Relation(2, [(0, 2), (2, 0)])})
-print("\nnormalized domain:", st.domain_size, "map:", st.element_map)
+print("\ndomain size:", st.domain_size)
 print("built-in equality:", st.relation("EQ").tuples)
+print("resolved:", st.resolve([("D", (0, 1)), ("CONST_3", (1,))]))

@@ -41,7 +41,7 @@ from .dichotomy import (
 from .frames import build_frame, dump
 from .maltsev import find_maltsev
 from .oracle import CapExceededError, oracle_count
-from .relations import Instance, Relation, RelationalStructure
+from .relations import Instance, Relation, RelationalStructure, UnknownRelationError
 
 
 class CliParseError(ValueError):
@@ -156,19 +156,14 @@ def parse_instance_text(text: str) -> Instance:
 
 
 def resolve_instance(structure: RelationalStructure, instance: Instance) -> None:
-    """Check every constraint against the structure's relations."""
-    for name, scope in instance.constraints:
-        try:
-            rel = structure.relation(name)
-        except KeyError:
-            raise CliParseError(
-                "constraint %s: no such relation in the structure" % name
-            )
-        if rel.arity != len(scope):
-            raise CliParseError(
-                "constraint %s: relation has arity %d, scope has %d variables"
-                % (name, rel.arity, len(scope))
-            )
+    """Check every constraint against the structure's relations, in order
+    (RelationalStructure.resolve)."""
+    try:
+        structure.resolve(instance.constraints)
+    except UnknownRelationError as e:
+        raise CliParseError("constraint %s: no such relation in the structure" % e.args[0])
+    except ValueError as e:
+        raise CliParseError(str(e))
 
 
 def _load_structure(path: str) -> RelationalStructure:
@@ -176,19 +171,7 @@ def _load_structure(path: str) -> RelationalStructure:
         text = Path(path).read_text()
     except OSError as e:
         raise CliParseError("cannot read %s: %s" % (path, e))
-    structure = parse_structure_text(text)
-    if structure.element_map:
-        print(
-            "note: domain renumbered to 0..%d; element map %s"
-            % (
-                structure.domain_size - 1,
-                ",".join(
-                    "%d->%d" % (k, v) for k, v in sorted(structure.element_map.items())
-                ),
-            ),
-            file=sys.stderr,
-        )
-    return structure
+    return parse_structure_text(text)
 
 
 def _load_instance(path: str, structure: RelationalStructure) -> Instance:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .frames import Frame, SectionCache, _resolve_constraints, build_frame, closure_project
+from .frames import Frame, SectionCache, build_frame, closure_project
 from .maltsev import MaltsevOp
 
 # Not used here. The benchmark's tracer test reads both names through this
@@ -258,7 +258,7 @@ def count(
         raise ValueError(
             "operation is over %d elements, the structure over %d" % (phi.q, q)
         )
-    _resolve_constraints(structure, instance.constraints)
+    structure.resolve(instance.constraints)
     # components in order of least variable, each with its constraints
     groups: dict = {
         cls: [] for cls in partition_from_groups(scope for _, scope in instance.constraints)

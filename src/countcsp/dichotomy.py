@@ -586,7 +586,7 @@ def _join(structure: RelationalStructure, instance: Instance) -> Relation:
     whole domain at each variable, which binds those no constraint did."""
     n = instance.num_vars
     domain = Relation(1, [(a,) for a in range(structure.domain_size)])
-    joins = [(structure.relation(name), scope) for name, scope in instance.constraints]
+    joins = structure.resolve(instance.constraints)
     joins += [(domain, (v,)) for v in range(n)]
     bound: set = set()
     rows = [{}]

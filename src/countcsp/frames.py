@@ -18,9 +18,9 @@ each addition reaches few positions past its scope. An addition reads
 the conjunction only up to its last scope position, off the frame's head
 there, a frame of the projection onto those positions: span's level walk
 of the head, capped at q^|J| tuples for a scope J, gives the projection
-and its classes, and only a walk past the cap closes the scope and pins
-sections on the head. The rows it takes are lifted back to full rows by
-the witness walk.
+and its classes, and only a walk past the cap pins sections on the head
+and closes the scope inside them. The rows it takes are lifted back to
+full rows by the witness walk.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -349,17 +349,17 @@ def shrink_to_small(frame: Frame, phi: MaltsevOp) -> Frame:
     return Frame(n, rows, witness)
 
 
-def _walk(frame: Frame, phi: MaltsevOp, seed: tuple, rows: dict, witness: dict, start: int):
+def _walk(frame: Frame, phi: MaltsevOp, rows: dict, witness: dict, start: int):
     """Witness every value at positions >= start of a phi-closed part R' of
     the generated relation whose classes there are whole classes of the
-    frame. `rows` (a dict used as an ordered set) witnesses R' below start,
-    so with `seed` from R' it generates R' there, and its closure onto the
-    single index i meets every class of R' at i; each closure tuple with an
-    unwitnessed value brings in its frame class by one _swap_in. Newest rows
-    go first, as their prefixes are the ones pinned already."""
+    frame. `rows` (a dict used as an ordered set) holds rows of R' that
+    witness it below start, so it generates R' there, and its closure onto
+    the single index i meets every class of R' at i; each closure tuple
+    with an unwitnessed value brings in its frame class by one _swap_in.
+    Newest rows go first, as their prefixes are the ones pinned already."""
     groups = frame.prefix_groups()
     for i in range(start, frame.arity):
-        for t in closure_project([*reversed(rows), seed], phi, (i,)):
+        for t in closure_project([*reversed(rows)], phi, (i,)):
             if (t[i], i) in witness:
                 continue
             k = frame.witness.get((t[i], i))
@@ -385,7 +385,7 @@ def _fix_first(frame: Frame, phi: MaltsevOp, a: int) -> Frame:
     seed = frame.witness_row(a, 0)
     rows: dict = {seed: 0}  # row -> index, in index order
     witness: dict = {}
-    _walk(frame, phi, seed, rows, witness, 1)
+    _walk(frame, phi, rows, witness, 1)
     return Frame(n - 1, (r[1:] for r in rows), {(b, i - 1): k for (b, i), k in witness.items()})
 
 
@@ -444,12 +444,14 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     row of the frame by the witness walk (_lift).
 
     The walk stops once a level holds more than q^|J| tuples, J the scope;
-    no level does when J is all of 0..last. Then the filtered closure onto
-    the scope decides emptiness, and its first tuple seeds one-index
-    closures of the rows gathered so far, which meet every class of the
-    conjunction (see _walk); each such tuple t with an unwitnessed value
-    has its prefix pinned on the head, and the filtered projection inside
-    that section harvests t[i]'s class.
+    no level does when J is all of 0..last. Then classes are harvested on
+    the head's sections: the filtered closure of the section at a prefix,
+    onto its first position and the scope, gives one tuple per value there.
+    The harvest at the empty prefix takes all of position 0, or finds no
+    solution. At each later position, one-index closures of the rows taken
+    so far meet every class of the conjunction (see _walk), and each such
+    tuple t with an unwitnessed value t[i] has its prefix pinned and
+    harvested, which takes t[i]'s class.
 
     Past the last scope variable the surviving classes are the frame's own:
     if p.b.. and p.b'.. are in R and p'.b.. satisfies the constraint, so
@@ -495,60 +497,44 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
             for h in kept:
                 if (h[i], i) not in witness:
                     take(h, i)
-        seed = next(iter(rows))
     else:
-        sat = closure_project(frame.rows, phi, J)
-        seed = next((t for t in sat if tuple(t[v] for v in scope) in relation), None)
-        if seed is None:
-            return empty_frame(n)
         sections = SectionCache(head, phi)
-        for i in range(last + 1):
+
+        def harvest(prefix: tuple) -> dict:
+            # the filtered closure inside the section at prefix, onto its
+            # first position and the scope: one tuple per value at len(prefix)
+            i = len(prefix)
+            found: dict = {}
             Jp = sorted({v - i for v in J if v >= i} | {0})
-            for t in closure_project([*reversed(rows), seed], phi, (i,)):
-                if (t[i], i) in witness:
-                    continue
-                prefix = t[:i]
-                found: dict = {}
-                for s in closure_project(sections.get(prefix).rows, phi, Jp):
-                    full = prefix + s
-                    if s[0] not in found and tuple(full[v] for v in scope) in relation:
-                        found[s[0]] = full
-                if t[i] not in found:
+            for s in closure_project(sections.get(prefix).rows, phi, Jp):
+                full = prefix + s
+                if s[0] not in found and tuple(full[v] for v in scope) in relation:
+                    found[s[0]] = full
+            for a in sorted(found):
+                take(found[a], i)
+            return found
+
+        if not harvest(()):
+            return empty_frame(n)
+        for i in range(1, last + 1):
+            for t in closure_project([*reversed(rows)], phi, (i,)):
+                if (t[i], i) not in witness and t[i] not in harvest(t[:i]):
                     raise ValueError("inputs violate the frame invariants")
-                for a in sorted(found):
-                    take(found[a], i)
-    _walk(frame, phi, seed, rows, witness, last + 1)
+    _walk(frame, phi, rows, witness, last + 1)
     return shrink_to_small(Frame(n, rows, witness), phi)
-
-
-def _resolve_constraints(structure, constraints) -> list:
-    """(relation, scope) per constraint, each name resolved once: a name the
-    structure cannot resolve raises UnknownRelationError, and a scope whose
-    length is not its relation's arity raises ValueError."""
-    relations: dict = {}
-    out = []
-    for name, scope in constraints:
-        relation = relations.get(name)
-        if relation is None:
-            relation = relations[name] = structure.relation(name)
-        if len(scope) != relation.arity:
-            raise ValueError("scope length does not match relation arity")
-        out.append((relation, scope))
-    return out
 
 
 def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
     """Small frame for the instance's solution set, built one constraint at
     a time.
 
-    Every constraint is resolved and its scope checked against its
-    relation's arity before any frame work, so an unknown name
-    (UnknownRelationError) or a scope of the wrong length (ValueError)
-    raises whatever the other constraints say. The constraints then go in
-    fewest distinct variables first, then highest variable first, ties in
-    the instance's order: unary constraints and folded repeats come first,
-    and a banded instance is added from its high end, so each constraint
-    reaches few positions after its scope.
+    Every constraint is resolved by structure.resolve before any frame work,
+    so the first unknown name (UnknownRelationError) or scope of the wrong
+    length (ValueError) raises whatever the other constraints say. The
+    constraints then go in fewest distinct variables first, then highest
+    variable first, ties in the instance's order: unary constraints and
+    folded repeats come first, and a banded instance is added from its high
+    end, so each constraint reaches few positions after its scope.
 
     The frame grows as variables appear: it is kept over the sorted list of
     variables that some constraint has touched so far, starting from the
@@ -566,7 +552,7 @@ def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
             "operation is over %d elements, the structure over %d" % (phi.q, q)
         )
     constraints = sorted(
-        _resolve_constraints(structure, instance.constraints),
+        structure.resolve(instance.constraints),
         key=lambda c: (len(set(c[1])), -max(c[1])),
     )
     touched: list = []

@@ -43,11 +43,7 @@ def enumerate_solutions(
     n = instance.num_vars
     if n < 1:
         raise ValueError("need at least one variable")
-    checks = [
-        (structure.relation(name), scope) for name, scope in instance.constraints
-    ]
-    if any(len(scope) != rel.arity for rel, scope in checks):
-        raise ValueError("scope length does not match relation arity")
+    checks = structure.resolve(instance.constraints)
     if q ** n > 2 ** cap_bits:
         raise CapExceededError(
             "q**n = %d**%d exceeds the %d-bit enumeration cap" % (q, n, cap_bits)

@@ -406,9 +406,8 @@ class RelationalStructure:
 
     The equality relation is always present under the reserved name EQ, and
     singleton relations are reachable as CONST_<a>; neither may be redefined.
-    Elements that appear in no user relation are removed at construction and
-    the surviving-element map is recorded (no-op when there are no user
-    relations, since then nothing constrains usage).
+    The domain is the declared one, whether or not every element appears in
+    a relation: counts range over it and CONST_<a> names its element a.
     """
 
     def __init__(self, domain_size: int, relations: Mapping[str, Relation] | None = None):
@@ -426,21 +425,6 @@ class RelationalStructure:
                 raise ValueError("relation %r is empty" % name)
             if rel.max_element() >= domain_size:
                 raise ValueError("relation %r uses elements outside the domain" % name)
-
-        self.element_map: dict[int, int] | None = None
-        if relations:
-            used = sorted({v for rel in relations.values() for t in rel for v in t})
-            if len(used) < domain_size:
-                if len(used) < 2:
-                    raise ValueError("fewer than two domain elements are used")
-                remap = {old: new for new, old in enumerate(used)}
-                relations = {
-                    name: Relation(rel.arity, [tuple(remap[v] for v in t) for t in rel])
-                    for name, rel in relations.items()
-                }
-                self.element_map = remap
-                domain_size = len(used)
-
         self.domain_size = domain_size
         self.relations: dict[str, Relation] = relations
         self._eq = Relation(2, [(a, a) for a in range(domain_size)])
@@ -461,6 +445,26 @@ class RelationalStructure:
         if name not in self.relations:
             raise UnknownRelationError(name)
         return self.relations[name]
+
+    def resolve(self, constraints: Iterable) -> list:
+        """(relation, scope) per (name, scope) constraint, each name resolved
+        once. Constraints are checked one at a time, in order: the first bad
+        one raises UnknownRelationError for a name the structure cannot
+        resolve, or ValueError for a scope whose length is not its
+        relation's arity."""
+        relations: dict = {}
+        out = []
+        for name, scope in constraints:
+            relation = relations.get(name)
+            if relation is None:
+                relation = relations[name] = self.relation(name)
+            if len(scope) != relation.arity:
+                raise ValueError(
+                    "scope length does not match relation arity: %s has arity %d,"
+                    " its scope %d variables" % (name, relation.arity, len(scope))
+                )
+            out.append((relation, scope))
+        return out
 
     def __repr__(self) -> str:
         return "RelationalStructure(q=%d, relations=%s)" % (

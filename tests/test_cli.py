@@ -79,7 +79,6 @@ def test_parse_structure_roundtrip():
     st = parse_structure_text(XOR3_TEXT)
     assert st.domain_size == 2
     assert st.relation("XOR3").tuples == ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
-    assert st.element_map is None
 
 
 @pytest.mark.parametrize(
@@ -289,15 +288,22 @@ def test_negative_trials_or_cap_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("selftest ok seed=0 trials=0\n")
 
 
-def test_normalization_note(tmp_path, capsys):
-    text = "domain 4\nrelation D 2 2\n0 2\n2 0\n"
-    s = _file(tmp_path, "s", text)
-    i = _file(tmp_path, "i", "vars 2\nconstraint D 1 2\n")
-    assert cli.main(["oracle", s, i]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "2\n"
-    assert "domain renumbered to 0..1" in captured.err
-    assert "0->0,2->1" in captured.err
+@pytest.mark.parametrize("command", ["count", "oracle"])
+@pytest.mark.parametrize(
+    "constraints, expected",
+    [
+        ("constraint R 1\nconstraint CONST_1 1\n", "0\n"),
+        ("constraint R 1\nconstraint CONST_2 1\n", "1\n"),
+        ("constraint EQ 1 1\n", "3\n"),
+    ],
+    ids=["const1", "const2", "eq"],
+)
+def test_counts_range_over_the_declared_domain(tmp_path, capsys, command, constraints, expected):
+    # element 1 is in no relation, and stays element 1 of {0, 1, 2}
+    s = _file(tmp_path, "s", "domain 3\nrelation R 1 2\n0\n2\n")
+    i = _file(tmp_path, "i", "vars 1\n" + constraints)
+    assert cli.main([command, s, i]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_selftest_deterministic(capsys):

@@ -5,6 +5,7 @@ import pytest
 from countcsp import (
     Instance,
     NotBalancedError,
+    RelationalStructure,
     UnknownRelationError,
     balance_matrix,
     build_frame,
@@ -76,7 +77,22 @@ def test_malformed_constraints_raise_beside_an_unsatisfiable_one(bad, error, bad
     # every constraint is resolved and arity-checked before any frame work,
     # in the bad constraint's component ((0, 1)) or a later one ((1, 2))
     inst = Instance(3, [bad] + UNSAT if bad_first else UNSAT + [bad])
-    for run in (lambda: build_frame(XOR3, MIN2, inst), lambda: count(XOR3, MIN2, inst)):
+    for run in _fast_and_oracle(XOR3, inst):
+        with pytest.raises(error):
+            run()
+
+
+@pytest.mark.parametrize(
+    "constraints, error",
+    [
+        ([("XOR3", (0, 1)), ("NOPE", (0,))], ValueError),
+        ([("NOPE", (0,)), ("XOR3", (0, 1))], UnknownRelationError),
+    ],
+)
+def test_the_first_malformed_constraint_decides_the_error(constraints, error):
+    # constraints are resolved one at a time, in order, by the fast path and
+    # the oracle alike (RelationalStructure.resolve)
+    for run in _fast_and_oracle(XOR3, Instance(3, constraints)):
         with pytest.raises(error):
             run()
 
@@ -137,6 +153,17 @@ def test_count_matches_oracle_battery():
         for _ in range(40):
             inst = random_instance(st, rng, max_vars=6, max_constraints=5)
             assert count(st, phi, inst, verify=True) == oracle_count(st, inst)
+
+
+def test_count_matches_oracle_over_a_declared_unused_element():
+    # XOR3 over {0, 1, 2}: element 2 is in no relation but every count,
+    # EQ and CONST_2 range over it
+    st = RelationalStructure(3, xor3_structure().relations)
+    phi = find_maltsev(st)
+    rng = random.Random(3)
+    for _ in range(200):
+        inst = random_instance(st, rng)
+        assert count(st, phi, inst) == oracle_count(st, inst), inst.constraints
 
 
 def test_congruences_match_oracle():

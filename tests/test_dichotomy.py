@@ -190,6 +190,22 @@ def test_decide_diagonal3_balanced():
     assert v.quadruples_checked == 54
 
 
+@pytest.mark.parametrize(
+    "make, kind",
+    [
+        (xor3_structure, VERDICT_BALANCED),
+        (constants_structure, VERDICT_BALANCED),
+        (or_structure, VERDICT_NOT_STRONGLY_RECTANGULAR),
+        (rank_defect_structure, VERDICT_NOT_BALANCED),
+    ],
+)
+def test_an_unused_declared_element_keeps_the_verdict(make, kind):
+    # one more domain element, in no relation: the sweep covers it
+    st = make()
+    widened = RelationalStructure(st.domain_size + 1, st.relations)
+    assert decide_strong_balance(widened).kind == kind
+
+
 def _affine3_structure():
     """x + y + z = 0 (mod 3): affine, hence balanced, but its sweep needs
     far more nodes than the languages above."""

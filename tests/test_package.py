@@ -1,6 +1,7 @@
 """Package-level checks: the public name list, the import layering between
 modules, unused imports, where the byte-table cap is read, that counting
-reads sections without pair closures, that every function the benchmark's
+reads sections without pair closures, that constraint names are resolved
+in one place, that every function the benchmark's
 tracer wraps exists, that a short traced benchmark run ends in a strict
 JSON line, and the demos running end to end."""
 
@@ -142,6 +143,16 @@ def test_sections_are_walked_without_a_pair_index():
     callers = _callers("closure_project")
     assert [c for c in callers if c.startswith("counting.")] == ["counting._pair_support"]
     assert [a.arg for a in functions["_fix_first"].args.args] == ["frame", "phi", "a"]
+
+
+def test_constraint_names_are_resolved_in_one_place():
+    # every other module goes through RelationalStructure.resolve, so the
+    # fast path, the oracle, the join and the CLI fail alike
+    callers = {c.split(".")[0] for c in _callers("relation")}
+    assert callers == {"relations", "fixtures"}
+    assert {c.split(".")[0] for c in _callers("resolve")} >= {
+        "cli", "counting", "dichotomy", "frames", "oracle"
+    }
 
 
 def test_every_tracer_target_resolves():

@@ -9,6 +9,7 @@ from countcsp import (
     ReconstructionError,
     Relation,
     RelationalStructure,
+    UnknownRelationError,
     block_decompose,
     is_rank_one_block,
     is_rectangular,
@@ -227,13 +228,29 @@ def test_structure_reserved_names_and_lookup():
         RelationalStructure(2, {"R": Relation(1, [])})
 
 
-def test_structure_normalizes_unused_elements():
+def test_structure_keeps_the_declared_domain():
+    # elements 1 and 3 are in no relation and stay in the domain
     st = RelationalStructure(4, {"R": Relation(2, [(0, 2), (2, 0)])})
-    assert st.domain_size == 2
-    assert st.element_map == {0: 0, 2: 1}
-    assert st.relation("R").tuples == ((0, 1), (1, 0))
-    plain = RelationalStructure(2, {"R": Relation(2, [(0, 1), (1, 0)])})
-    assert plain.element_map is None
+    assert st.domain_size == 4
+    assert st.relation("R").tuples == ((0, 2), (2, 0))
+    assert st.relation("EQ").tuples == ((0, 0), (1, 1), (2, 2), (3, 3))
+    assert st.relation("CONST_3").tuples == ((3,),)
+    # relations that use one element of two are accepted
+    one = RelationalStructure(2, {"R": Relation(1, [(0,)])})
+    assert one.domain_size == 2
+    assert one.relation("CONST_1").tuples == ((1,),)
+
+
+def test_resolve_checks_one_constraint_at_a_time():
+    st = RelationalStructure(2, {"R": Relation(2, [(0, 1), (1, 0)])})
+    rel = st.relation("R")
+    assert st.resolve([("R", (0, 1)), ("EQ", (1, 1)), ("R", (2, 0))]) == [
+        (rel, (0, 1)), (st.relation("EQ"), (1, 1)), (rel, (2, 0))
+    ]
+    with pytest.raises(ValueError, match="^scope length does not match relation arity"):
+        st.resolve([("R", (0,)), ("NOPE", (0,))])
+    with pytest.raises(UnknownRelationError):
+        st.resolve([("NOPE", (0,)), ("R", (0,))])
 
 
 def test_power_structure_encoding_and_membership():
