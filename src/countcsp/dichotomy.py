@@ -444,36 +444,16 @@ class _PowerSearchContext:
 
 def _domain_automorphisms(structure: RelationalStructure) -> list:
     """Every permutation of the domain that maps each relation onto itself,
-    as image tuples in lexicographic order, the identity first. Values get
-    their images in turn, and a partial map is dropped as soon as a tuple
-    whose values are all mapped leaves its relation. Into is enough: a
-    permutation maps a finite relation injectively into itself, hence
-    onto."""
-    q = structure.domain_size
-    # per value v: the tuples, with their relation's rows, whose largest value is v
-    closing: list = [[] for _ in range(q)]
-    for rel in structure.relations.values():
-        rows = set(rel)
-        for t in rows:
-            if t:
-                closing[max(t)].append((t, rows))
-    out: list = []
-    image: list = []
-
-    def extend(v: int) -> None:
-        if v == q:
-            out.append(tuple(image))
-            return
-        for w in range(q):
-            if w in image:
-                continue
-            image.append(w)
-            if all(tuple(image[u] for u in t) in rows for t, rows in closing[v]):
-                extend(v + 1)
-            image.pop()
-
-    extend(0)
-    return out
+    as image tuples in lexicographic order, the identity first. Into is
+    enough: a permutation maps a finite relation injectively into itself,
+    hence onto. Only a sweep whose power search succeeded asks, so q! stays
+    small next to the q^6 elements that search covered."""
+    relations = [set(rel) for rel in structure.relations.values()]
+    return [
+        sigma
+        for sigma in itertools.permutations(range(structure.domain_size))
+        if all(tuple([sigma[v] for v in t]) in rows for rows in relations for t in rows)
+    ]
 
 
 class _AutomorphismPool:

@@ -5,14 +5,17 @@ Those identities pin every table entry whose middle argument repeats an outer
 one; only the q(q-1)^2 remaining entries are free. A structure has a Mal'tsev
 polymorphism iff some completion of the free entries maps every triple of
 tuples of every relation back into the relation, which is what the
-backtracking search below decides.
+backtracking search below decides. It fills the operation's own q^3 table,
+indexed by argument code (a*q + b)*q + c, one free entry at a time in code
+order, and checks each triple of tuples once every free entry it reads has
+a value.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .relations import Relation, RelationalStructure
 
@@ -43,8 +46,9 @@ class MaltsevOp:
         table = tuple(table)
         if len(table) != q * q * q:
             raise ValueError("table must have q^3 entries")
-        if any(not 0 <= v < q for v in table):
-            raise ValueError("table entry out of range")
+        for v in table:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
+                raise ValueError("table entries are ints in range(%d), got %r" % (q, v))
         q2 = q * q
         for a in range(q):
             for b in range(q):
@@ -185,24 +189,15 @@ class RectangularityViolation:
     image: tuple
 
 
-def _forced(a: int, b: int, c: int) -> int | None:
-    if a == b:
-        return c
-    if b == c:
-        return a
-    return None
-
-
-def _completion(q: int, free_values: Mapping) -> MaltsevOp:
-    """The operation taking free_values[(a, b, c)] on the free entries and
-    the value the identities force everywhere else."""
-    table = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                f = _forced(a, b, c)
-                table.append(free_values[(a, b, c)] if f is None else f)
-    return MaltsevOp(q, table)
+def _forced(q: int) -> list:
+    """The q^3 table indexed by argument code (a*q + b)*q + c, holding the
+    value the identities pin at each entry and None at every free one."""
+    return [
+        c if a == b else a if b == c else None
+        for a in range(q)
+        for b in range(q)
+        for c in range(q)
+    ]
 
 
 def find_maltsev_with_certificate(
@@ -216,88 +211,58 @@ def find_maltsev_with_certificate(
     (it certifies that some projection pair of the relation is not a disjoint
     union of complete bipartite blocks), else None.
 
+    The search fills the operation's own table. Each triple of tuples that
+    reads a free entry is kept once, as its argument codes and its relation,
+    and is checked as soon as the largest free code it reads is assigned.
+
     Equality and singleton relations are preserved by every Mal'tsev table,
     so only user relations constrain the search.
     """
     q = structure.domain_size
-    free = free_entries(q)
-    position = {e: k for k, e in enumerate(free)}
-    nfree = len(free)
-
-    # For each triple of relation tuples, record which free entries its image
-    # needs; the triple is checked as soon as the last of them is assigned.
-    triples = []
-    touched: set[int] = set()
+    table = _forced(q)
+    buckets: list[list] = [[] for _ in table]
+    read: set[int] = set()
     for name, rel in structure.relations.items():
         member = rel._set
         tuples = rel.tuples
         for t1 in tuples:
             for t2 in tuples:
                 for t3 in tuples:
-                    needed = []
-                    fixed: list[int | None] = []
-                    for a, b, c in zip(t1, t2, t3):
-                        f = _forced(a, b, c)
-                        fixed.append(f)
-                        if f is None:
-                            needed.append(position[(a, b, c)])
-                    if not needed:
-                        if tuple(fixed) not in member:
-                            violation = RectangularityViolation(
-                                name, (t1, t2, t3), tuple(fixed)
-                            )
-                            return None, violation
+                    codes = tuple([(a * q + b) * q + c for a, b, c in zip(t1, t2, t3)])
+                    free = [code for code in codes if table[code] is None]
+                    if free:
+                        read.update(free)
+                        buckets[max(free)].append((codes, member))
                         continue
-                    cols = tuple(
-                        position[(a, b, c)] if f is None else -1
-                        for (a, b, c), f in zip(zip(t1, t2, t3), fixed)
-                    )
-                    triples.append((cols, tuple(fixed), member, needed))
-                    touched.update(needed)
+                    image = tuple([table[code] for code in codes])
+                    if image not in member:
+                        return None, RectangularityViolation(name, (t1, t2, t3), image)
 
-    # Entries no triple needs never affect feasibility; pinning them to 0
-    # keeps the result lexicographically least and keeps the search from
-    # backtracking through them.
-    values: list[int] = [0] * nfree
-    active = sorted(touched)
-    rank = {e: k for k, e in enumerate(active)}
-    buckets: list[list] = [[] for _ in active]
-    for cols, fixed, member, needed in triples:
-        buckets[max(rank[e] for e in needed)].append((cols, fixed, member))
-
-    def check(level: int) -> bool:
-        for cols, fixed, member in buckets[level]:
-            image = tuple(
-                fixed[i] if col < 0 else values[col] for i, col in enumerate(cols)
-            )
-            if image not in member:
-                return False
-        return True
-
-    # Depth-first search in index order; ascending values make the first
-    # solution the lexicographically least one.
-    trail: list[int] = [-1] * len(active)
+    # Depth-first over the free entries some triple reads, in code order;
+    # ascending values make the first solution the lexicographically least.
+    # An entry's current value is its place in the search, None before it.
+    active = sorted(read)
     level = 0
     while level < len(active):
-        v = trail[level] + 1
-        placed = False
+        code = active[level]
+        bucket = buckets[code]
+        v = 0 if table[code] is None else table[code] + 1
         while v < q:
-            values[active[level]] = v
-            trail[level] = v
-            if check(level):
-                placed = True
+            table[code] = v
+            if all(tuple([table[c] for c in codes]) in member for codes, member in bucket):
                 break
             v += 1
-        if placed:
+        if v < q:
             level += 1
             continue
-        trail[level] = -1
-        values[active[level]] = 0
+        table[code] = None
         level -= 1
         if level < 0:
             return None, None
 
-    return _completion(q, dict(zip(free, values))), None
+    # Entries no triple reads never affect feasibility; 0 keeps the table
+    # lexicographically least.
+    return MaltsevOp(q, [0 if v is None else v for v in table]), None
 
 
 def find_maltsev(structure: RelationalStructure) -> MaltsevOp | None:
@@ -311,8 +276,11 @@ def enumerate_maltsev(structure: RelationalStructure):
     Exponential in q(q-1)^2; meant for cross-checking the search at q = 2.
     """
     q = structure.domain_size
-    free = free_entries(q)
-    for combo in itertools.product(range(q), repeat=len(free)):
-        op = _completion(q, dict(zip(free, combo)))
+    table = _forced(q)
+    free = [code for code, v in enumerate(table) if v is None]
+    for values in itertools.product(range(q), repeat=len(free)):
+        for code, v in zip(free, values):
+            table[code] = v
+        op = MaltsevOp(q, table)
         if all(preserves(op, rel) for rel in structure.relations.values()):
             yield op

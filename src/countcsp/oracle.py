@@ -61,6 +61,11 @@ def oracle_count(
     instance: Instance,
     cap_bits: int = DEFAULT_CAP_BITS,
 ) -> int:
+    """Number of satisfying assignments, by full enumeration. An instance
+    over no variables has one, the empty assignment: it holds no constraint,
+    since every scope is nonempty."""
+    if instance.num_vars == 0:
+        return 1
     return len(enumerate_solutions(structure, instance, cap_bits))
 
 

@@ -1,5 +1,11 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +50,13 @@ def test_op_validates_identities():
         MaltsevOp(2, tuple(bad))
     with pytest.raises(ValueError):
         MaltsevOp(2, minority_table()[:-1])
+
+
+def test_op_rejects_entries_that_are_not_ints():
+    # float and bool tables pass the range and identity checks by equality
+    for table in ([float(v) for v in minority_table()], [v == 1 for v in minority_table()]):
+        with pytest.raises(ValueError):
+            MaltsevOp(2, table)
 
 
 def test_apply_is_coordinatewise():
@@ -133,3 +146,53 @@ def test_found_table_is_lexicographically_least():
 def test_preserves_counterexample():
     op = MaltsevOp(2, minority_table())
     assert not preserves(op, or_structure().relation("OR"))
+
+
+def _affine3(k):
+    rows = [t for t in itertools.product(range(3), repeat=k) if sum(t) % 3 == 0]
+    return RelationalStructure(3, {"AFF": Relation(k, rows)})
+
+
+# sha256 of bytes(op.table) for the search's table, recorded while the
+# search still kept its own index of the free entries and per-triple records
+TABLE_DIGESTS = {
+    "aff3_k2": (lambda: _affine3(2),
+                "db8a045ca1d17391c19dbcd4d5facfcc5db1bf3bfc86ea9e8b0995b626c0d6fa"),
+    "aff3_k3": (lambda: _affine3(3),
+                "2c90e9dc90c0f652ddc244ea0762daa9564c59ff964acb57e963f89cde525006"),
+    "aff3_k4": (lambda: _affine3(4),
+                "2c90e9dc90c0f652ddc244ea0762daa9564c59ff964acb57e963f89cde525006"),
+    "diagonal3": (lambda: diagonal_structure(3),
+                  "db8a045ca1d17391c19dbcd4d5facfcc5db1bf3bfc86ea9e8b0995b626c0d6fa"),
+    "rank_defect": (rank_defect_structure,
+                    "55075ae358714ffc9148248d113b2b876d7178737ea3ad8aa0de85183031cb33"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_table_digests(name):
+    make, digest = TABLE_DIGESTS[name]
+    op, violation = find_maltsev_with_certificate(make())
+    assert violation is None
+    assert hashlib.sha256(bytes(op.table)).hexdigest() == digest
+
+
+def test_affine_mod3_arity5_search_peak_rss_under_150mb():
+    # 81 tuples, 531,441 triples; the child reports its own peak RSS in KiB
+    script = textwrap.dedent("""
+        import itertools, resource
+        from countcsp import Relation, RelationalStructure, find_maltsev
+        rows = [t for t in itertools.product(range(3), repeat=5) if sum(t) % 3 == 0]
+        assert find_maltsev(RelationalStructure(3, {"AFF": Relation(5, rows)})) is not None
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 150 * 1024

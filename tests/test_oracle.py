@@ -4,7 +4,9 @@ from countcsp import (
     CapExceededError,
     Instance,
     Relation,
+    count,
     enumerate_solutions,
+    find_maltsev,
     oracle_balance,
     oracle_congruence,
     oracle_congruence_pair,
@@ -31,6 +33,12 @@ def test_enumeration_cap():
         enumerate_solutions(st, Instance(0, []))
     small = Instance(16, [("XOR3", (0, 1, 2))])
     assert oracle_count(st, small, cap_bits=16) == 4 * 2 ** 13
+
+
+def test_zero_variable_instance_has_one_assignment():
+    st = xor3_structure()
+    empty = Instance(0, [])
+    assert count(st, find_maltsev(st), empty) == oracle_count(st, empty) == 1
 
 
 def test_oracle_balance_split():

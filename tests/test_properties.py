@@ -20,7 +20,9 @@ from countcsp import (
     build_frame,
     count,
     dump,
+    enumerate_maltsev,
     find_maltsev,
+    find_maltsev_with_certificate,
     is_rank_one_block,
     member,
     oracle_congruence_pair,
@@ -107,6 +109,32 @@ def count_matrices(draw):
 @given(count_matrices())
 def test_rank_one_block_matches_definitional_oracle(m):
     assert is_rank_one_block(m) == helpers.rank_one_block_oracle(m)
+
+
+boolean_relations = st.integers(1, 3).flatmap(
+    lambda k: st.lists(
+        st.tuples(*[st.integers(0, 1)] * k), min_size=1, max_size=2**k
+    ).map(lambda rows: Relation(k, rows))
+)
+
+
+@given(st.lists(boolean_relations, min_size=1, max_size=2))
+def test_search_returns_the_least_enumerated_table(relations):
+    structure = RelationalStructure(2, {"R%d" % i: r for i, r in enumerate(relations)})
+    op, violation = find_maltsev_with_certificate(structure)
+    tables = [o.table for o in enumerate_maltsev(structure)]
+    if tables:
+        assert violation is None and op.table == min(tables)
+        return
+    assert op is None
+    if violation is not None:
+        rel = structure.relation(violation.relation_name)
+        assert all(t in rel for t in violation.triple)
+        assert violation.image not in rel
+        assert violation.image == tuple(
+            c if a == b else a for a, b, c in zip(*violation.triple)
+        )
+        assert all(a == b or b == c for a, b, c in zip(*violation.triple))
 
 
 @given(st.integers(2, 5), st.data())
