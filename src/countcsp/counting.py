@@ -20,8 +20,8 @@ most three coordinates. All arithmetic is exact.
 
 `count` sweeps each connected component of an instance on its own frame
 and multiplies the results. Within a component the coordinate order is the
-sorted variable order; build_frame chooses the order in which constraints
-are added to the frame.
+sorted variable order; frames._component_frames builds the frames and
+chooses the order in which constraints are added.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .frames import Frame, SectionCache, build_frame, closure_project
+from .frames import Frame, SectionCache, _component_frames, closure_project
 from .maltsev import MaltsevOp
 
 # Not used here. The benchmark's tracer test reads both names through this
@@ -43,7 +43,6 @@ from .relations import (
     ReconstructionError,
     RelationalStructure,
     _bipartite_blocks,
-    partition_from_groups,
     reconstruct_rank_one,
 )
 
@@ -236,50 +235,21 @@ def count(
     verify: bool = False,
     trace: Optional[list] = None,
 ) -> int:
-    """Number of solutions of the instance, via frames and reconstruction.
+    """Number of solutions of the instance, via frames and reconstruction:
+    q**free, for the variables no constraint mentions, times the counts of
+    the connected components' frames (frames._component_frames), each over
+    its variables in ascending order.
 
-    Variables mentioned in no constraint contribute a factor q each. The
-    others fall into connected components (two constraints meet when their
-    scopes share a variable), and the count is q**free times the product of
-    the components' counts. Each component gets its own frame over its
-    variables in sorted order, so the coordinate order is the instance's;
-    its constraints go to build_frame in the instance's order, and
-    build_frame chooses the order in which they are added. Every constraint
-    of every component is resolved and arity-checked before any frame is
-    built, as build_frame does for one, so an unknown name or a scope of the
-    wrong length raises even where another component is unsatisfiable.
-    Every frame is built before any is counted; an empty one makes the count
-    0 and leaves the trace empty. The trace lists each component's stages in
-    turn, components by least variable. A NotBalancedError names its
-    failing pair by instance variables.
+    Every frame is built before any is counted; a component with no
+    solution makes the count 0 and leaves the trace empty. The trace lists
+    each component's stages in turn, components by least variable. A
+    NotBalancedError names its failing pair by instance variables.
     """
-    q = structure.domain_size
-    if phi.q != q:
-        raise ValueError(
-            "operation is over %d elements, the structure over %d" % (phi.q, q)
-        )
-    structure.resolve(instance.constraints)
-    # components in order of least variable, each with its constraints
-    groups: dict = {
-        cls: [] for cls in partition_from_groups(scope for _, scope in instance.constraints)
-    }
-    of = {v: cls for cls in groups for v in cls}
-    for name, scope in instance.constraints:
-        groups[of[scope[0]]].append((name, scope))
-    built = []
-    for cls, group in groups.items():
-        variables = tuple(sorted(cls))
-        pos = {v: k for k, v in enumerate(variables)}
-        core = Instance(
-            len(variables),
-            tuple((name, tuple(pos[v] for v in scope)) for name, scope in group),
-        )
-        frame = build_frame(structure, phi, core)
-        if frame.is_empty():
-            return 0
-        built.append((variables, frame))
-    total = q ** (instance.num_vars - sum(len(v) for v, _ in built))
-    for variables, frame in built:
+    components = _component_frames(structure, phi, instance)
+    if components is None:
+        return 0
+    total = structure.domain_size ** (instance.num_vars - sum(len(v) for v, _ in components))
+    for variables, frame in components:
         steps: Optional[list] = None if trace is None else []
         total *= count_frame(frame, phi, verify=verify, trace=steps, variables=variables)
         if trace is not None:

@@ -83,11 +83,14 @@ class BudgetExhausted(RuntimeError):
 
 class SearchBudget:
     """Deterministic work cap, counted in assignment attempts. A budget of
-    0 allows none; a negative one is a ValueError."""
+    0 allows none; a negative one, or one that is not an int (a bool
+    included), is a ValueError."""
 
     __slots__ = ("max_nodes", "used")
 
     def __init__(self, max_nodes: int):
+        if not isinstance(max_nodes, int) or isinstance(max_nodes, bool):
+            raise ValueError("node budget must be an int, got %r" % (max_nodes,))
         if max_nodes < 0:
             raise ValueError("node budget must be non-negative, got %d" % max_nodes)
         self.max_nodes = max_nodes
@@ -626,8 +629,8 @@ def decide_strong_balance(
     counting problem), or TIMEOUT if some automorphism search exceeds its
     per-quadruple node budget; the witness quadruple is then the first
     searched one that ran out. Deterministic for fixed inputs and budgets;
-    a negative budget is a ValueError whatever the language."""
-    SearchBudget(max_nodes)  # rejects a negative budget before any stage runs
+    a budget SearchBudget rejects is a ValueError whatever the language."""
+    SearchBudget(max_nodes)  # rejects a bad budget before any stage runs
     op, violation = find_maltsev_with_certificate(structure)
     if op is None:
         return DichotomyVerdict(

@@ -7,20 +7,22 @@ that (a) hits every value of every coordinate projection of R, and (b) for
 each position i carries, per class of the "shares a length-i prefix in R"
 equivalence, witness rows with one common prefix. Frames support linear-time
 membership tests and can be rebuilt after conjoining one more constraint,
-which is how build_frame processes a whole instance without ever
-materializing R. Its frame grows as variables appear: a variable no
-constraint has touched yet is a free coordinate, which needs no closure, so
-build_frame keeps the frame over the touched variables only and inserts a
-free coordinate when a constraint first mentions one. It chooses the order
-in which constraints are added (fewest distinct variables first, then
-highest variable first), whatever order the instance lists them in, so
-each addition reaches few positions past its scope. An addition reads
-the conjunction only up to its last scope position, off the frame's head
-there, a frame of the projection onto those positions: span's level walk
-of the head, capped at q^|J| tuples for a scope J, gives the projection
-and its classes, and only a walk past the cap pins sections on the head
-and closes the scope inside them. The rows it takes are lifted back to
-full rows by the witness walk.
+which is how an instance is built without ever materializing R. A
+solution set is the product of its connected components' solution sets,
+and the frame of a product is its factors' frames side by side
+(_product). So count and build_frame share one builder,
+_component_frames: a variable is a free coordinate of its own until a
+constraint mentions it, and each constraint is added to the product of
+the components its scope meets and its new variables. The builder chooses
+the order in which constraints are added (fewest distinct variables
+first, then highest variable first), whatever order the instance lists
+them in, so each addition reaches few positions past its scope. An
+addition reads the conjunction only up to its last scope position, off
+the frame's head there, a frame of the projection onto those positions:
+span's level walk of the head, capped at q^|J| tuples for a scope J,
+gives the projection and its classes, and only a walk past the cap pins
+sections on the head and closes the scope inside them. The rows it takes
+are lifted back to full rows by the witness walk.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -28,7 +30,6 @@ to a row index.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
@@ -243,40 +244,52 @@ def _levels(frame: Frame, phi: MaltsevOp, cap: Optional[int] = None) -> Optional
     return level
 
 
-def _insert_free(frame: Frame, p: int, q: int) -> Frame:
-    """Frame of the generated relation with a free coordinate inserted at
-    position p (the relation times D, the new factor at p).
+def _free(q: int) -> Frame:
+    """Frame of D itself, one free coordinate: one row per value."""
+    return Frame(1, ((a,) for a in range(q)), {(a, 0): a for a in range(q)})
 
-    Every row gets 0 at p, and row 0 with a at p is added for each a != 0;
-    the witnesses at p are row 0 and these rows, so they share row 0's
-    prefix. Later witness positions shift by one and keep their classes,
-    because every row has the same value at p. An empty frame stays empty.
+
+def _product(parts: Sequence, n: int) -> Frame:
+    """Frame of the product of `parts`, (positions, frame) pairs whose
+    ascending positions share out range(n). One part is returned as it is;
+    an empty part makes the product empty.
+
+    Row 0 puts every part's row 0 in place. Each later row of a part is
+    that row with every other part's row 0 around it, parts in the order
+    given, and every witness keeps its row. A class of the product is a
+    class of its part, and its witness rows carry the same rows 0
+    elsewhere, so they share the product's prefix.
     """
-    n = frame.arity
-    if not 0 <= p <= n:
-        raise ValueError("insertion position %d out of range" % p)
-    if frame.is_empty():
-        return empty_frame(n + 1)
-    rows = [r[:p] + (0,) + r[p:] for r in frame.rows]
-    base = rows[0]
-    witness = {(a, i + (i >= p)): k for (a, i), k in frame.witness.items()}
-    witness[(0, p)] = 0
-    for a in range(1, q):
-        witness[(a, p)] = len(rows)
-        rows.append(base[:p] + (a,) + base[p + 1:])
-    return Frame(n + 1, rows, witness)
+    if len(parts) == 1:
+        return parts[0][1]
+    if any(f.is_empty() for _, f in parts):
+        return empty_frame(n)
+    base = [0] * n
+    for pos, f in parts:
+        for p, a in zip(pos, f.rows[0]):
+            base[p] = a
+    rows = [tuple(base)]
+    witness: dict = {}
+    for pos, f in parts:
+        index = [0]
+        for r in f.rows[1:]:
+            row = base[:]
+            for p, a in zip(pos, r):
+                row[p] = a
+            index.append(len(rows))
+            rows.append(tuple(row))
+        for (a, i), k in f.witness.items():
+            witness[(a, pos[i])] = index[k]
+    return Frame(n, rows, witness)
 
 
 def initial_frame(n: int, q: int) -> Frame:
     """Frame of the full relation D^n: the all-zero row plus one row per
-    (position, nonzero value) pair; size n(q-1)+1. It is n free coordinates
-    inserted at the end of the arity-0 frame."""
+    (position, nonzero value) pair; size n(q-1)+1. It is the product of n
+    free coordinates."""
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
-    f = Frame(0, ((),), {})
-    for p in range(n):
-        f = _insert_free(f, p, q)
-    return f
+    return _product([((p,), _free(q)) for p in range(n)], n)
 
 
 def _lift(frame: Frame, phi: MaltsevOp, prefix: tuple) -> Optional[tuple]:
@@ -524,28 +537,23 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     return shrink_to_small(Frame(n, rows, witness), phi)
 
 
-def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
-    """Small frame for the instance's solution set, built one constraint at
-    a time.
+def _component_frames(structure, phi: MaltsevOp, instance: Instance) -> Optional[list]:
+    """(variables, frame) for each connected component of the instance (two
+    constraints meet when their scopes share a variable), by least
+    variable, each frame over its variables in ascending order; None when
+    some component has no solution.
 
     Every constraint is resolved by structure.resolve before any frame work,
-    so the first unknown name (UnknownRelationError) or scope of the wrong
-    length (ValueError) raises whatever the other constraints say. The
-    constraints then go in fewest distinct variables first, then highest
-    variable first, ties in the instance's order: unary constraints and
-    folded repeats come first, and a banded instance is added from its high
-    end, so each constraint reaches few positions after its scope.
-
-    The frame grows as variables appear: it is kept over the sorted list of
-    variables that some constraint has touched so far, starting from the
-    arity-0 frame, and a free coordinate is inserted at a variable's sorted
-    position when a constraint first mentions it. Each constraint is added
-    with its scope renumbered to positions in that list, so no closure or
-    section runs over a variable no constraint has reached yet. Variables
-    still untouched at the end are inserted the same way. An operation over
-    a domain of another size raises ValueError.
+    so the first unknown name or scope of the wrong length raises whatever
+    the other constraints say. The constraints then go in fewest distinct
+    variables first, then highest variable first, ties in the instance's
+    order, so a banded instance is added from its high end and each
+    constraint reaches few positions after its scope. A variable is a free
+    coordinate of its own until a constraint mentions it: each constraint
+    is added to the product of the components its scope meets, by least
+    variable, and of its new variables, ascending. An operation over a
+    domain of another size raises ValueError.
     """
-    n = instance.num_vars
     q = structure.domain_size
     if phi.q != q:
         raise ValueError(
@@ -555,24 +563,35 @@ def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
         structure.resolve(instance.constraints),
         key=lambda c: (len(set(c[1])), -max(c[1])),
     )
-    touched: list = []
-    f = Frame(0, ((),), {})
+    of: dict = {}  # variable -> (variables, frame) of its component
     for relation, scope in constraints:
-        for v in sorted(set(scope)):
-            p = bisect_left(touched, v)
-            if p == len(touched) or touched[p] != v:
-                touched.insert(p, v)
-                f = _insert_free(f, p, q)
-        pos = {v: k for k, v in enumerate(touched)}
+        met = sorted({id(of[v]): of[v] for v in scope if v in of}.values())
+        new = sorted({v for v in scope if v not in of})
+        variables = tuple(sorted({v for vs, _ in met for v in vs}.union(new)))
+        pos = {v: k for k, v in enumerate(variables)}
+        parts = [(tuple(pos[v] for v in vs), g) for vs, g in met]
+        f = _product(parts + [((pos[v],), _free(q)) for v in new], len(variables))
         f = add_constraint(f, phi, relation, tuple(pos[v] for v in scope))
         if f.is_empty():
-            return empty_frame(n)
-    # all variables below v are in touched by now, so v belongs at position v
-    for v in range(n):
-        if len(touched) <= v or touched[v] != v:
-            touched.insert(v, v)
-            f = _insert_free(f, v, q)
-    return f
+            return None
+        component = (variables, f)
+        for v in variables:
+            of[v] = component
+    return sorted({id(c): c for c in of.values()}.values())
+
+
+def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
+    """Small frame for the instance's solution set: the product of its
+    connected components' frames (_component_frames), by least variable,
+    and of one free coordinate per variable no constraint mentions,
+    ascending; the empty frame if a component has no solution.
+    """
+    n = instance.num_vars
+    components = _component_frames(structure, phi, instance)
+    if components is None:
+        return empty_frame(n)
+    mentioned = {v for variables, _ in components for v in variables}
+    return _product(components + [((v,), _free(phi.q)) for v in range(n) if v not in mentioned], n)
 
 
 def dump(frame: Frame) -> str:

@@ -292,14 +292,19 @@ def reconstruct_rank_one(
     """Rebuild the unique rank-one block matrix with the given support blocks
     and margins: entry = row_total * col_total / block_total.
 
-    Raises ReconstructionError when the margins are inconsistent (a block's
-    row and column totals disagree, a zero block total, or a fractional
-    entry), which means no such matrix exists.
+    Raises ReconstructionError when a block's row or column has no total,
+    or when the margins are inconsistent (a block's row and column totals
+    disagree, a zero block total, or a fractional entry), which means no
+    such matrix exists.
     """
     entries = {}
     covered_rows: set = set()
     covered_cols: set = set()
     for rows, cols in blocks:
+        for kind, labels, totals in (("row", rows, row_totals), ("column", cols, col_totals)):
+            for x in labels:
+                if x not in totals:
+                    raise ReconstructionError("%s %r has no total" % (kind, x))
         covered_rows |= rows
         covered_cols |= cols
         rsum = sum(row_totals[r] for r in rows)
@@ -411,6 +416,8 @@ class RelationalStructure:
     """
 
     def __init__(self, domain_size: int, relations: Mapping[str, Relation] | None = None):
+        if not isinstance(domain_size, int) or isinstance(domain_size, bool):
+            raise ValueError("domain size must be an int, got %r" % (domain_size,))
         if domain_size < 2:
             raise ValueError("domain size must be at least 2")
         relations = dict(relations or {})

@@ -94,6 +94,18 @@ def test_search_budget():
         find_automorphism(xor3_structure(), 6, max_nodes=1)
 
 
+@pytest.mark.parametrize("budget", ["5", True, False, 1.5, None])
+def test_a_budget_that_is_not_an_int_is_a_value_error(budget):
+    # "5" raised a raw TypeError, True ran with a budget of 1 and 1.5 was
+    # accepted
+    with pytest.raises(ValueError, match="node budget must be an int"):
+        SearchBudget(budget)
+    with pytest.raises(ValueError, match="node budget must be an int"):
+        decide_strong_balance(xor3_structure(), max_nodes=budget)
+    with pytest.raises(ValueError, match="node budget must be an int"):
+        find_automorphism(xor3_structure(), 1, max_nodes=budget)
+
+
 def test_negative_budget_is_a_value_error():
     with pytest.raises(ValueError, match="non-negative, got -5"):
         SearchBudget(-5)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import random
@@ -15,8 +16,10 @@ from countcsp import (
     build_frame,
     closure_project,
     collapse_scope,
+    count,
     count_frame,
     dump,
+    enumerate_solutions,
     find_maltsev,
     fix_prefix,
     initial_frame,
@@ -259,6 +262,20 @@ def test_classes_before_the_scope_can_split():
     assert span(g, MIN2) == Relation(3, [(0, 0, 0), (1, 1, 0)])
 
 
+def _closures_while(monkeypatch, run):
+    """run() and the index tuple of every closure_project call it made."""
+    closure = frames.closure_project
+    seen = []
+
+    def counted(rows, phi, indices):
+        seen.append(tuple(indices))
+        return closure(rows, phi, indices)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(frames, "closure_project", counted)
+        return run(), seen
+
+
 def test_a_scope_past_the_walk_bound_is_closed(monkeypatch):
     # The EQ(k, m + k) links leave 2^m tuples on positions 0..2m-1, and the
     # walk of that head passes 2^3, the bound for XOR3(0, m - 1, 2m - 1),
@@ -266,18 +283,73 @@ def test_a_scope_past_the_walk_bound_is_closed(monkeypatch):
     # the empty prefix both decides emptiness and takes position 0.
     # x_{m-1} = x_{2m-1} makes the XOR3 force x0 = 0.
     m = 8
-    closure = frames.closure_project
-    indices_seen = []
-
-    def counted(rows, phi, indices):
-        indices_seen.append(tuple(indices))
-        return closure(rows, phi, indices)
-
-    monkeypatch.setattr(frames, "closure_project", counted)
-    links = [("EQ", (k, m + k)) for k in range(m)]
-    f = build_frame(XOR3, MIN2, Instance(2 * m, links + [("XOR3", (0, m - 1, 2 * m - 1))]))
-    assert indices_seen.count((0, m - 1, 2 * m - 1)) == 1
+    links = build_frame(XOR3, MIN2, Instance(2 * m, [("EQ", (k, m + k)) for k in range(m)]))
+    xor3 = XOR3.relation("XOR3")
+    f, seen = _closures_while(
+        monkeypatch, lambda: add_constraint(links, MIN2, xor3, (0, m - 1, 2 * m - 1))
+    )
+    assert seen.count((0, m - 1, 2 * m - 1)) == 1
     assert count_frame(f, MIN2) == 2 ** (m - 1)
+
+
+def test_links_beside_a_scope_close_one_index_at_a_time(monkeypatch):
+    # built as a whole, the EQ links are components apart from the XOR3
+    # until it joins three of them, and their product's head walk stays
+    # within its bound, so nothing is closed over more than one index
+    for m in (8, 100):
+        links = [("EQ", (k, m + k)) for k in range(m)]
+        inst = Instance(2 * m, links + [("XOR3", (0, m - 1, 2 * m - 1))])
+        f, seen = _closures_while(monkeypatch, lambda: build_frame(XOR3, MIN2, inst))
+        assert all(len(idx) == 1 for idx in seen)
+        assert count(XOR3, MIN2, inst) == 2 ** (m - 1)
+        if m == 8:  # count_frame over 200 positions takes half a minute
+            assert count_frame(f, MIN2) == 2 ** (m - 1)
+
+
+def test_a_leading_gap_on_q7_is_its_own_component(monkeypatch):
+    # EQ(0, 0) leaves position 0 free in front of R(2, 4, 3): built as one
+    # frame, the head walk passed 7^3 there and one closure over
+    # (0, 1, 2, 3) reached 2,401 codes in 15-19 s
+    st = rank_defect_structure()
+    op = find_maltsev(st)
+    inst = Instance(5, [("EQ", (0, 0)), ("R", (2, 4, 3))])
+    f, seen = _closures_while(monkeypatch, lambda: build_frame(st, op, inst))
+    assert all(len(idx) == 1 for idx in seen)
+    assert count_frame(f, op) == count(st, op, inst)
+
+
+def test_random_q7_draws_close_no_three_indices(monkeypatch):
+    # 60 seeded rank_defect draws: no closure covers 3 or more indices, and
+    # small ones generate exactly the oracle's solutions
+    st = rank_defect_structure()
+    op = find_maltsev(st)
+    rng = random.Random(4242)
+    for _ in range(60):
+        inst = random_instance(st, rng, max_vars=8, max_constraints=6)
+        f, seen = _closures_while(monkeypatch, lambda: build_frame(st, op, inst))
+        assert all(len(idx) < 3 for idx in seen), inst.constraints
+        if inst.num_vars <= 5:
+            sols = enumerate_solutions(st, inst)
+            if sols:
+                assert span(f, op) == Relation(inst.num_vars, sols)
+            else:
+                assert f.is_empty()
+
+
+# sha256 of the XOR3 chain's frame dump at n = 10, 20, 40, recorded before
+# connected components were built apart: one component, so no frame moved
+CHAIN_DUMPS = {
+    10: "4e39ce2be27d06a1aedc7765567a7711d19331712495a145ddee87deeb6a124c",
+    20: "899410bb7a4a421fe5380eb5c7df2a971d33c0f70435c4aa2447214a91fb61c4",
+    40: "c60df6781f4d294461ae071a0700c8fc9c32f613f6750d3688d15fc3ad8b8f21",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CHAIN_DUMPS))
+def test_chain_frame_dumps_are_pinned(n):
+    inst = Instance(n, [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)])
+    text = dump(build_frame(XOR3, MIN2, inst))
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_DUMPS[n]
 
 
 def test_add_constraint_random_battery():

@@ -1,9 +1,10 @@
 """Package-level checks: the public name list, the import layering between
 modules, unused imports, where the byte-table cap is read, that counting
 reads sections without pair closures, that constraint names are resolved
-in one place, that every function the benchmark's
-tracer wraps exists, that a short traced benchmark run ends in a strict
-JSON line, and the demos running end to end."""
+in one place, that count and build_frame share one frame builder, that
+every function the benchmark's tracer wraps exists, that a short traced
+benchmark run ends in a strict JSON line, and the demos running end to
+end."""
 
 import ast
 import importlib
@@ -151,8 +152,26 @@ def test_constraint_names_are_resolved_in_one_place():
     callers = {c.split(".")[0] for c in _callers("relation")}
     assert callers == {"relations", "fixtures"}
     assert {c.split(".")[0] for c in _callers("resolve")} >= {
-        "cli", "counting", "dichotomy", "frames", "oracle"
+        "cli", "dichotomy", "frames", "oracle"
     }
+
+
+def test_count_and_decide_share_one_frame_builder():
+    # count and build_frame both take the components' frames from
+    # frames._component_frames, and one product joins every frame
+    assert {"build_frame", "partition_from_groups"}.isdisjoint(
+        _package_imports("counting").get("frames", set())
+        | _package_imports("counting").get("relations", set())
+    )
+    assert sorted(_callers("_component_frames")) == ["counting.count", "frames.build_frame"]
+    assert sorted(_callers("_product")) == [
+        "frames._component_frames", "frames.build_frame", "frames.initial_frame"
+    ]
+    tree = _tree("frames")
+    assert "_insert_free" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert "bisect" not in modules
 
 
 def test_every_tracer_target_resolves():

@@ -40,7 +40,7 @@ from countcsp.fixtures import (
     random_instance,
     xor3_structure,
 )
-from countcsp.frames import _fix_first, _insert_free, _lift, _swap_in
+from countcsp.frames import _fix_first, _free, _lift, _product, _swap_in
 from countcsp.maltsev import encode
 from countcsp.relations import _bipartite_blocks
 
@@ -422,22 +422,59 @@ def test_classes_from_shared_sections(k, seed):
             assert got.backward == pinned_backward(frame, phi, i, j, support)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.data())
+def test_product_generates_the_product_of_its_parts(k, data):
+    # 1-3 instance frames and some free coordinates, their positions
+    # interleaved at random, over at most 6 coordinates in all
+    structure, phi = SECTION_LANGUAGES[k]
+    q = structure.domain_size
+    m = data.draw(st.integers(1, 3))
+    frames_ = []
+    for _ in range(m):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        inst = random_instance(structure, random.Random(seed), max_vars=6 // m, max_constraints=3)
+        frames_.append(build_frame(structure, phi, inst))
+    arities = [f.arity for f in frames_]
+    arities += [1] * data.draw(st.integers(0, 6 - sum(arities)))
+    n = sum(arities)
+    order = data.draw(st.permutations(range(n)))
+    parts, at = [], 0
+    for j, a in enumerate(arities):
+        f = frames_[j] if j < m else _free(q)
+        parts.append((tuple(sorted(order[at:at + a])), f))
+        at += a
+    got = _product(parts, n)
+    assert got.arity == n
+    assert [t for t in itertools.product(range(q), repeat=n) if member(got, phi, t)] == [
+        t
+        for t in itertools.product(range(q), repeat=n)
+        if all(member(f, phi, tuple(t[p] for p in pos)) for pos, f in parts)
+    ]
+    assert len(got.rows) <= n * (q - 1) + 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1))
-def test_insert_free_adds_one_free_coordinate(k, seed):
+def test_one_free_part_inserts_a_free_coordinate(k, seed):
+    # the rows and witnesses, in order, of the slicing formula that inserted
+    # a free coordinate at p before frames were joined by _product
     structure, phi = SECTION_LANGUAGES[k]
     q = structure.domain_size
     inst = random_instance(structure, random.Random(seed), max_vars=5, max_constraints=4)
     frame = build_frame(structure, phi, inst)
+    assume(not frame.is_empty())
     n = frame.arity
-    old = [t for t in itertools.product(range(q), repeat=n) if member(frame, phi, t)]
     for p in range(n + 1):
-        new = _insert_free(frame, p, q)
-        assert new.arity == n + 1
-        got = [t for t in itertools.product(range(q), repeat=n + 1) if member(new, phi, t)]
-        assert got == sorted(t[:p] + (a,) + t[p:] for t in old for a in range(q))
-        if len(frame.rows) <= n * (q - 1) + 1:
-            assert len(new.rows) <= (n + 1) * (q - 1) + 1
+        got = _product([(tuple(i + (i >= p) for i in range(n)), frame), ((p,), _free(q))], n + 1)
+        rows = [r[:p] + (0,) + r[p:] for r in frame.rows]
+        witness = [((a, i + (i >= p)), k) for (a, i), k in frame.witness.items()]
+        witness.append(((0, p), 0))
+        for a in range(1, q):
+            witness.append(((a, p), len(rows)))
+            rows.append(rows[0][:p] + (a,) + rows[0][p + 1:])
+        assert list(got.rows) == rows
+        assert list(got.witness.items()) == witness
 
 
 @settings(max_examples=30, deadline=None)

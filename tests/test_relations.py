@@ -202,6 +202,15 @@ def test_reconstruct_requires_zero_totals_off_support():
     assert m.get(0, 0) == 2
 
 
+def test_reconstruct_names_a_block_label_with_no_total():
+    # a raw KeyError before
+    blocks = support_blocks(CountMatrix([0], [0], {(0, 0): 1}))
+    with pytest.raises(ReconstructionError, match="row 0 has no total"):
+        reconstruct_rank_one(blocks, {}, {0: 1})
+    with pytest.raises(ReconstructionError, match="column 0 has no total"):
+        reconstruct_rank_one(blocks, {0: 1}, {})
+
+
 def test_partition():
     p = Partition.from_classes([{2, 1}, {0}])
     assert p.classes == (frozenset({0}), frozenset({1, 2}))
@@ -226,6 +235,13 @@ def test_structure_reserved_names_and_lookup():
         RelationalStructure(2, {"CONST_0": Relation(1, [(0,)])})
     with pytest.raises(ValueError):
         RelationalStructure(2, {"R": Relation(1, [])})
+
+
+@pytest.mark.parametrize("q", [2.0, "2", True, None])
+def test_structure_rejects_a_domain_size_that_is_not_an_int(q):
+    # 2.0 raised a raw TypeError from range
+    with pytest.raises(ValueError, match="domain size must be an int"):
+        RelationalStructure(q, {"R": Relation(1, [(0,), (1,)])})
 
 
 def test_structure_keeps_the_declared_domain():
