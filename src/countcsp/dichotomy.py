@@ -13,24 +13,20 @@ detection, a direct search for an unbalanced count matrix among small
 formulas (a fast disproof), and only then the full automorphism sweep.
 Power-structure elements are integers encoding base-q digit strings
 (big-endian, maltsev.encode); the power relations are never materialized.
-The sweep grows its search order only as deep as the search reaches, so
-power tuples are enumerated only through elements it visits, and checks a
-candidate image against a tuple with one AND of packed per-digit masks.
-That test factorises over digits, so an element's closed checks first
-narrow the values each digit of its image may take, and only the product
-of those values is tried when it is smaller than the element's class.
-Each check is built once per context, when its tuple is first found
-closed, and shared by every quadruple's search.
+The sweep grows its search order only as deep as the search reaches, and
+keeps no tuples per element: a join digit by digit against the elements
+placed so far finds each new element's closed tuples, those whose elements
+are all placed. A candidate image is checked against a tuple with one AND
+of packed per-digit masks, and the closed checks first narrow the values
+each digit of the image may take. Each check is built once per context.
 
-A permutation of positions that maps a relation onto itself maps its power
-relations onto themselves too, so the check of the permuted tuple passes
-exactly when the check of the tuple does. Two positions are
-interchangeable when swapping them maps the relation onto itself, and the
-sweep uses the permutations within these classes: it enumerates tuples
-through an element only at the least position of each class, and keeps one
-tuple per orbit of that position's stabiliser, the one whose values are
-sorted within each class. That is up to 6 times fewer checks for XOR3 and
-24 for XOR4, with the same candidates, nodes and images.
+Positions are interchangeable when swapping them maps the relation onto
+itself. A permutation within these classes maps the power relations onto
+themselves too, so the check of the permuted tuple passes exactly when that
+of the tuple does. The join takes tuples through an element only at the
+least position of each class, one per orbit of its stabiliser: the one
+whose values are non-decreasing within each class. That is up to 6 times
+fewer checks for XOR3 and 24 for XOR4, with the same nodes and images.
 
 Many quadruples ask the same question. The sweep keeps the image table of
 every automorphism it finds, and before searching a quadruple it tries
@@ -48,8 +44,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .maltsev import (
     MaltsevOp,
@@ -77,6 +74,12 @@ DEFAULT_SWEEP_NODES = 200_000
 REFUTATION_FORMULAS = 64
 
 
+def _require_int(value, what: str) -> None:
+    """A ValueError unless value is an int; a bool is not one here."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an int, got %r" % (what, value))
+
+
 class BudgetExhausted(RuntimeError):
     """The automorphism search spent its node allowance."""
 
@@ -89,8 +92,7 @@ class SearchBudget:
     __slots__ = ("max_nodes", "used")
 
     def __init__(self, max_nodes: int):
-        if not isinstance(max_nodes, int) or isinstance(max_nodes, bool):
-            raise ValueError("node budget must be an int, got %r" % (max_nodes,))
+        _require_int(max_nodes, "node budget")
         if max_nodes < 0:
             raise ValueError("node budget must be non-negative, got %d" % max_nodes)
         self.max_nodes = max_nodes
@@ -118,7 +120,9 @@ class PatternTriple:
 
 
 def patterns(q: int, a: int, b: int, c: int, d: int) -> PatternTriple:
+    _require_int(q, "domain size")
     for v in (a, b, c, d):
+        _require_int(v, "pattern value")
         if not 0 <= v < q:
             raise ValueError("pattern value %d outside the domain" % v)
     fd = (a, a, a, b, b, b)
@@ -155,6 +159,28 @@ class _DigitValues(dict):
         return mask
 
 
+class _OrderedPicks(dict):
+    """Base tuples for one digit of a join, keyed by the bitmask of the
+    position pairs (a, b) whose values so far are equal: those with t[a] <=
+    t[b] at each, as multiples by the digits' weights, each with the pairs
+    it keeps equal. A pair once strictly increasing stays so. Lazy."""
+
+    __slots__ = ("tuples",)
+
+    def __init__(self, tuples: list, pairs: list, weights: list):
+        # per tuple: its multiples, the pairs it keeps equal, those it puts out of order
+        self.tuples = [
+            ([tuple(w * v for v in t) for w in weights],
+             sum(1 << i for i, (a, b) in enumerate(pairs) if t[a] == t[b]),
+             sum(1 << i for i, (a, b) in enumerate(pairs) if t[a] > t[b]))
+            for t in tuples
+        ]
+
+    def __missing__(self, tied: int) -> list:
+        kept = self[tied] = [(t, ties) for t, ties, out in self.tuples if not out & tied]
+        return kept
+
+
 def _interchangeable(rel) -> list:
     """rel's positions in classes, each ascending, classes by least
     position: i and j share a class iff swapping them maps rel onto itself.
@@ -180,85 +206,105 @@ def _interchangeable(rel) -> list:
 class _PowerSearchContext:
     """Shared precomputation for automorphism searches over one power.
 
-    Elements are encoded digit strings. Tuples of a power relation are
-    enumerated only through one fixed element: choosing one base tuple per
-    digit with the element's digit at a fixed position and reading the
-    columns back as encoded elements. Membership of an image tuple is one
+    Elements are encoded digit strings. Membership of an image tuple is one
     AND of packed masks: masks[ri][m][e] has bit d*|R|+i set iff digit d of
     e equals R[i][m]. Base tuples are distinct, so each digit block keeps at
-    most one bit, and the image lies in R^k iff k bits survive.
+    most one bit, and the image lies in R^k iff k bits survive. The masks and
+    the occurrence profiles are built digit by digit, one OR or product per
+    entry.
 
-    The test factorises over digits, so a closed check also narrows the
-    images of x digit by digit (_DigitValues). Each check is built once per
-    (element, tuple) the first time the tuple is found closed, and shared by
-    every later search that finds it closed again.
-
-    A symmetry pi of a relation R (t∘pi in R for every t in R) maps R^k onto
-    itself, and an image passes the check of t∘pi iff it passes that of t,
-    while both tuples have the same elements, hence close together. The
-    permutations within R's classes of interchangeable positions are such
-    symmetries. So tuples through x are enumerated only at the least
-    position p of each class, one per orbit of p's stabiliser: the least
-    of its permuted element tuples, whose values are sorted within each
-    class, p's class without p. A sorting network of bulk min and max
-    passes over the columns sorts them all at once.
+    A tuple through x at position p is one base tuple per digit with x's
+    digit at p. By the symmetries of the module docstring, tuples through x
+    are taken only at the least position p of each class of interchangeable
+    positions, one per orbit: the one whose values are non-decreasing within
+    each class, p's class without p. No tuple is kept per element: closed
+    ones are joined digit by digit (_representatives). Each check is built
+    once per (element, tuple), when the tuple is first found closed, and
+    shared by every later search; it also narrows x's images digit by digit
+    (_DigitValues).
     """
 
     def __init__(self, structure: RelationalStructure, k: int):
+        _require_int(k, "power")
         if k < 1:
             raise ValueError("power must be positive")
-        self.q = structure.domain_size
+        q = self.q = structure.domain_size
         self.k = k
-        self.size = self.q ** k
-        self.weights = [self.q ** (k - 1 - d) for d in range(k)]
-        self.digits = list(itertools.product(range(self.q), repeat=k))
+        self.size = q ** k
+        self.weights = [q ** (k - 1 - d) for d in range(k)]
+        self.digits = list(itertools.product(range(q), repeat=k))
         self.rels = [structure.relations[name] for name in sorted(structure.relations)]
+        self.classes = [_interchangeable(rel) for rel in self.rels]
         # slices[ri][p][v]: base tuples of relation ri with value v at p
-        self.slices = []
+        self.slices = [
+            [[[t for t in rel if t[p] == v] for v in range(q)] for p in range(rel.arity)]
+            for rel in self.rels
+        ]
         self.masks = []
         for rel in self.rels:
-            per_pos = []
-            for p in range(rel.arity):
-                by_val: dict = {v: [] for v in range(self.q)}
-                for t in rel:
-                    by_val[t[p]].append(t)
-                per_pos.append(by_val)
-            self.slices.append(per_pos)
-            blocks = [
-                [sum(1 << i for i, t in enumerate(rel) if t[m] == v) for v in range(self.q)]
-                for m in range(rel.arity)
-            ]
-            self.masks.append([
-                [sum(block[v] << d * len(rel) for d, v in enumerate(dx)) for dx in self.digits]
-                for block in blocks
-            ])
-        self.classes = [_interchangeable(rel) for rel in self.rels]
+            self.masks.append([])
+            for m in range(rel.arity):
+                block = [sum(1 << i for i, t in enumerate(rel) if t[m] == v) for v in range(q)]
+                table = [0]
+                for d in range(k):
+                    table = [a | b << d * len(rel) for a in table for b in block]
+                self.masks[-1].append(table)
         # occurrence profile: tuples through x at (ri, p) factorize over digits
+        counts = []
+        for sizes in ([len(ts) for ts in by_val] for per_pos in self.slices for by_val in per_pos):
+            table = [1]
+            for _ in range(k):
+                table = [a * b for a in table for b in sizes]
+            counts.append(table)
         profiles: dict = {}
-        self.occ_id = []
-        self.class_members: list = []
-        for x in range(self.size):
-            dx = self.digits[x]
-            prof = []
-            for ri, rel in enumerate(self.rels):
-                for p in range(rel.arity):
-                    cnt = 1
-                    for d in dx:
-                        cnt *= len(self.slices[ri][p][d])
-                    prof.append(cnt)
-            key = tuple(prof)
-            cid = profiles.get(key)
-            if cid is None:
-                cid = len(self.class_members)
-                profiles[key] = cid
-                self.class_members.append([])
-            self.occ_id.append(cid)
+        keys = zip(*counts) if counts else itertools.repeat((), self.size)
+        self.occ_id = [profiles.setdefault(key, len(profiles)) for key in keys]
+        self.class_members: list = [[] for _ in profiles]
+        for x, cid in enumerate(self.occ_id):
             self.class_members[cid].append(x)
-        self._through: dict = {}
-        # element -> {index in tuples_through: check}, filled as found closed
+        # per relation and class with least position p: the relation, the
+        # number of pairs kept non-decreasing, and per value v the base tuples
+        # with v at p; for near, per other position m, each v's values at m
+        self._orbits = []
+        near: dict = {}
+        for ri, classes in enumerate(self.classes):
+            for cls in classes:
+                by_val = self.slices[ri][cls[0]]
+                blocks = [c[1:] if c is cls else c for c in classes]
+                pairs = [pair for c in blocks for pair in itertools.pairwise(c)]
+                picks = [_OrderedPicks(ts, pairs, self.weights) for ts in by_val]
+                self._orbits.append((ri, len(pairs), picks))
+                for m in range(self.rels[ri].arity):
+                    if m != cls[0]:
+                        near[tuple(tuple(sorted({t[m] for t in ts})) for ts in by_val)] = None
+        self._near_values = list(near)
+        # element -> {(relation index, element tuple): check}, filled as found closed
         self._checks: dict = {}
         # (relation index, x's positions) -> _DigitValues
         self._digit_values: dict = {}
+
+    def _representatives(self, x: int, placed: list) -> list:
+        """The representatives through x whose elements are all placed, as
+        (relation index, element tuple) pairs, picked one digit at a time:
+        placed[d] holds each placed element with its digits after d set to
+        0, x among them."""
+        found: dict = {}
+        for ri, npairs, by_val in self._orbits:
+            # (elements so far, the pairs they tie), every pair tied at first
+            partials = [((0,) * self.rels[ri].arity, (1 << npairs) - 1)]
+            for d, (prefixes, v) in enumerate(zip(placed, self.digits[x])):
+                partials = [
+                    (elems, tied & ties)
+                    for old, tied in partials
+                    for t, ties in by_val[v][tied]
+                    if prefixes.issuperset(elems := tuple(map(operator.add, old, t[d])))
+                ]
+                if not partials:
+                    break
+            else:
+                # a tuple with x at two classes' least positions comes from both
+                found.update(dict.fromkeys((ri, elems) for elems, _ in partials))
+        return list(found)
 
     def tuples_through(self, x: int) -> tuple:
         """One power-relation tuple containing x per symmetry orbit, as
@@ -267,60 +313,35 @@ class _PowerSearchContext:
         sorted within each class, p's class without p. Permuting the
         representatives within their relation's classes gives every tuple
         containing x."""
-        return self._incidence(x)[0]
+        everything = [set(range(0, self.size, w)) for w in self.weights]
+        return tuple(self._representatives(x, everything))
 
-    def _incidence(self, x: int) -> tuple:
-        """tuples_through(x), and the elements of all tuples through x,
-        ascending."""
-        cached = self._through.get(x)
-        if cached is not None:
-            return cached
-        found: dict = {}
-        near: set = set()
-        for ri, rel in enumerate(self.rels):
-            for cls in self.classes[ri]:
-                p = cls[0]
-                picks = [self.slices[ri][p][v] for v in self.digits[x]]
-                if not all(picks):  # some digit of x occurs at p in no base tuple
-                    continue
-                # each column encoded digit by digit, big-endian as encode()
-                cols = []
-                for m in range(rel.arity):
-                    col = [0]
-                    for w, pick in zip(self.weights, picks):
-                        step = [w * t[m] for t in pick]
-                        col = [a + b for a in col for b in step]
-                    cols.append(col)
-                    near.update(col)
-                # each tuple's values sorted within each class, p's without
-                # p, by a bubble network of compare-exchanges on whole columns
-                for block in (c[1:] if c is cls else c for c in self.classes[ri]):
-                    for end in range(len(block) - 1, 0, -1):
-                        for a, b in zip(block, block[1:end + 1]):
-                            lo, hi = cols[a], cols[b]
-                            cols[a], cols[b] = list(map(min, lo, hi)), list(map(max, lo, hi))
-                found.update(dict.fromkeys(zip(itertools.repeat(ri), zip(*cols))))
-        out = self._through[x] = (tuple(found), sorted(near))
-        return out
+    def near(self, x: int) -> list:
+        """The elements other than x of the tuples through x, ascending: at a
+        position m other than a class's least p, each digit d ranges over the
+        values at m of the base tuples with x's digit d at p."""
+        out: set = set()
+        for values in self._near_values:
+            col = [0]
+            for v in self.digits[x]:
+                col = [a * self.q + u for a in col for u in values[v]]
+            out.update(col)
+        out.discard(x)
+        return sorted(out)
 
-    def closed_checks(self, x: int, rank: list) -> list:
-        """Checks for the tuples through x whose other elements all come
-        earlier in the search order; rank[e] is e's place in it, or size
-        while e is unplaced. A check is (digit values, mask tables at x's
-        positions, (mask table, element) pairs at the others). A tuple of x
-        alone that every image passes yields none."""
-        level = rank[x]
-        built = self._checks.get(x)
-        if built is None:
-            built = self._checks[x] = {}
+    def closed_checks(self, x: int, placed: list) -> list:
+        """Checks for the tuples through x whose elements are all placed
+        (placed as _representatives reads it). A check is (digit values, mask
+        tables at x's positions, (mask table, element) pairs at the others).
+        A tuple of x alone that every image passes yields none."""
+        built = self._checks.setdefault(x, {})
         out = []
-        for i, (ri, elems) in enumerate(self._incidence(x)[0]):
-            if max(map(rank.__getitem__, elems)) <= level:
-                check = built.get(i)
-                if check is None:
-                    check = built[i] = self._check(x, ri, elems)
-                if check:
-                    out.append(check)
+        for key in self._representatives(x, placed):
+            check = built.get(key)
+            if check is None:
+                check = built[key] = self._check(x, *key)
+            if check:
+                out.append(check)
         return out
 
     def _check(self, x: int, ri: int, elems: tuple):
@@ -339,12 +360,15 @@ class _PowerSearchContext:
         )
 
     def candidates(
-        self, x: int, checks: list, assignment: dict, used: set, fixes: Mapping
+        self, x: int, checks: list, assignment: dict, used: set, fixes: Mapping, free: list
     ) -> Iterator[int]:
         """Unused images for x in its occurrence class that pass its closed
         checks, in ascending order. Lazy: the search resumes it only after
         undoing every deeper step, so assignment and used read the same as
-        at the first call.
+        at the first call. free[c] is where a scan of class c starts: each
+        member before it is an image of an earlier level. A scan moves it on
+        past such images, and puts it back once spent, as the search then
+        backtracks.
 
         Each check's AND over the assigned elements is taken once. In turn,
         they narrow the values each digit of an image may take, until every
@@ -355,7 +379,7 @@ class _PowerSearchContext:
         k = self.k
         occ_id = self.occ_id
         cid = occ_id[x]
-        pool: Iterable = self.class_members[cid]
+        pool = members = self.class_members[cid]
         partial = []
         for _, at_x, others in checks:
             acc = -1
@@ -380,6 +404,11 @@ class _PowerSearchContext:
                 ]
                 pool = map(sum, itertools.product(*per_digit))
                 partial = partial[read:]
+        bound = free[cid]
+        if pool is members:
+            while free[cid] < len(members) and members[free[cid]] in used:
+                free[cid] += 1
+            pool = map(members.__getitem__, range(free[cid], len(members)))
         for f in pool:
             if f in used or occ_id[f] != cid:
                 continue
@@ -390,6 +419,7 @@ class _PowerSearchContext:
                     break
             else:
                 yield f
+        free[cid] = bound
 
     def search(self, fixes: Mapping, budget: SearchBudget) -> Optional[tuple]:
         """Depth-first search for an automorphism extending `fixes`;
@@ -401,36 +431,38 @@ class _PowerSearchContext:
         fixed elements, then from the least unplaced element, so that by
         assignment time as many tuple partners as possible are pinned. It
         grows, with each depth's closed checks, only when the search first
-        reaches that depth."""
+        reaches that depth; the elements up to it are the placed ones."""
         size = self.size
         order: list = sorted(set(fixes))
-        rank = [size] * size
-        for i, x in enumerate(order):
-            rank[x] = i
+        queued = set(order)
+        placed: list = [set() for _ in self.weights]
         least = 0
         checks: list = []
         assignment: dict = {}
         used: set = set()
+        free = [0] * len(self.class_members)
         iters: list = []
         level = 0
         while True:
             if level == size:
                 return tuple(assignment[x] for x in range(size))
             if level == len(checks):
-                if level:
-                    for y in self._incidence(order[level - 1])[1]:
-                        if rank[y] == size:
-                            rank[y] = len(order)
+                if level and len(order) < size and self._near_values:
+                    for y in self.near(order[level - 1]):
+                        if y not in queued:
+                            queued.add(y)
                             order.append(y)
                 if level == len(order):
-                    while rank[least] != size:
+                    while least in queued:
                         least += 1
-                    rank[least] = level
+                    queued.add(least)
                     order.append(least)
-                checks.append(self.closed_checks(order[level], rank))
+                for prefixes, w in zip(placed, self.weights):
+                    prefixes.add(order[level] - order[level] % w)
+                checks.append(self.closed_checks(order[level], placed))
             x = order[level]
             if level == len(iters):
-                iters.append(self.candidates(x, checks[level], assignment, used, fixes))
+                iters.append(self.candidates(x, checks[level], assignment, used, fixes, free))
             f = next(iters[level], None)
             if f is None:
                 iters.pop()
@@ -494,12 +526,11 @@ class _AutomorphismPool:
                 for sigma in _domain_automorphisms(self.structure)
                 for swap in (False, True)
             ]
-        q = self.q
         for sigma, sigma_inv, swap in self._pullbacks:
             pulled = []
             for digits in (pat.fixed_digits, pat.source_digits, pat.target_digits):
                 ds = tuple(sigma_inv[v] for v in digits)
-                pulled.append(encode(ds[3:] + ds[:3] if swap else ds, q))
+                pulled.append(encode(ds[3:] + ds[:3] if swap else ds, self.q))
             fixed, source, target = pulled
             for i, f in enumerate(self.maps):
                 if f[fixed] != fixed:
@@ -523,10 +554,10 @@ def find_automorphism(
     fixes = dict(fixes or {})
     for x, y in fixes.items():
         for v in (x, y):
+            _require_int(v, "fixed element")
             if not 0 <= v < ctx.size:
                 raise ValueError("fixed element %d outside the power domain" % v)
-    targets = list(fixes.values())
-    if len(set(targets)) != len(targets):
+    if len(set(fixes.values())) != len(fixes):
         return None
     return ctx.search(fixes, SearchBudget(max_nodes))
 
@@ -703,9 +734,6 @@ def verdict_to_text(verdict: DichotomyVerdict) -> str:
     if verdict.maltsev is not None:
         lines.append("maltsev=")
         op = verdict.maltsev
-        q = op.q
-        for x in range(q):
-            for y in range(q):
-                for z in range(q):
-                    lines.append("%d %d %d -> %d" % (x, y, z, op(x, y, z)))
+        for x, y, z in itertools.product(range(op.q), repeat=3):
+            lines.append("%d %d %d -> %d" % (x, y, z, op(x, y, z)))
     return "\n".join(lines) + "\n"

@@ -1,6 +1,11 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +85,43 @@ def test_find_automorphism_argument_checks():
         find_automorphism(st, 1, {0: 5})
     with pytest.raises(ValueError):
         find_automorphism(st, 0)
+
+
+@pytest.mark.parametrize("k", [2.0, "2"])
+def test_a_power_that_is_not_an_int_is_a_value_error(k):
+    # 2.0 raised a raw TypeError
+    with pytest.raises(ValueError, match="power must be an int"):
+        find_automorphism(xor3_structure(), k)
+
+
+def test_a_bool_power_is_a_value_error():
+    # True ran as the first power
+    with pytest.raises(ValueError, match="power must be an int, got True"):
+        find_automorphism(xor3_structure(), True)
+
+
+@pytest.mark.parametrize("fixes", [{"0": 1}, {0.0: 1}, {0: 1.0}, {True: 0}])
+def test_a_fixed_element_that_is_not_an_int_is_a_value_error(fixes):
+    # str and float elements raised raw TypeErrors, and True ran as 1
+    with pytest.raises(ValueError, match="fixed element must be an int"):
+        find_automorphism(xor3_structure(), 1, fixes)
+
+
+@pytest.mark.parametrize("args", [(2, 0, 0, 0.5, 1), (2, 0, 0, True, 0), (2.0, 0, 0, 0, 1)])
+def test_a_pattern_value_that_is_not_an_int_is_a_value_error(args):
+    # these returned a PatternTriple with float or bool digits
+    with pytest.raises(ValueError, match="must be an int"):
+        patterns(*args)
+
+
+def test_relation_free_structure():
+    # nothing constrains a relation-free power: the search takes the
+    # identity, all elements share one class, and every quadruple balances
+    st = RelationalStructure(2, {})
+    assert find_automorphism(st, 2) == (0, 1, 2, 3)
+    assert find_automorphism(st, 2, {0: 3}) == (3, 0, 1, 2)
+    v = decide_strong_balance(st)
+    assert (v.kind, v.quadruple, v.quadruples_checked) == (VERDICT_BALANCED, None, 8)
 
 
 def test_search_budget():
@@ -482,10 +524,40 @@ def test_affine3_timeout_is_pinned_and_enumerates_only_reached_elements():
     assert [(p.quadruple, used, image) for p, used, image in sweep] == [
         ((0, 0, 0, 1), 1001, "TIMEOUT")
     ]
-    # The search reaches depth 45, so only 46 of the 729 elements need
-    # their tuples enumerated, or their checks built.
-    assert len(ctx._through) < ctx.size // 10
+    # The search reaches depth 45, so only 46 of the 729 elements have
+    # their checks built. It keeps no tuples per element: the other fields
+    # that fill lazily are keyed by a relation's positions, and every
+    # remaining field is as the context was built.
     assert 0 < len(ctx._checks) < ctx.size // 10
+    fresh = _PowerSearchContext(_affine3_structure(), 6)
+    grown = ("_checks", "_digit_values", "_orbits")
+    assert {n: v for n, v in vars(ctx).items() if n not in grown} == {
+        n: v for n, v in vars(fresh).items() if n not in grown
+    }
+
+
+def test_affine_mod5_sweep_peak_rss_under_100mb():
+    # the sweep used to keep every tuple through each reached element, 539 MB
+    # at this budget; the child reports its verdict and peak RSS in KiB
+    script = textwrap.dedent("""
+        import itertools, resource
+        from countcsp import Relation, RelationalStructure, decide_strong_balance
+        rows = [t for t in itertools.product(range(5), repeat=3) if sum(t) % 5 == 0]
+        v = decide_strong_balance(RelationalStructure(5, {"AFF": Relation(3, rows)}), 2000)
+        print(v.kind, v.quadruple, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdict, peak = proc.stdout.rsplit(" ", 1)
+    assert verdict == "TIMEOUT (0, 0, 0, 1)"
+    assert int(peak) < 100 * 1024
 
 
 def _mod5_structure():

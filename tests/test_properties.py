@@ -2,10 +2,12 @@
 
 import functools
 import itertools
+import math
 import operator
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -193,20 +195,23 @@ def test_digit_values_factorise_the_packed_check(q, arity, k, data):
 
 
 class _FullScanContext(_PowerSearchContext):
-    """The sweep's kernels before symmetry orbits and digit narrowing: every
-    tuple through x, enumerated by the reference helper, is tested for
-    closedness afresh, and each candidate pool is x's whole occurrence
-    class, every member tested against every closed check."""
+    """The sweep's kernels before symmetry orbits, the join and digit
+    narrowing: every tuple through x, enumerated by the reference helper,
+    is tested for closedness afresh, the elements near x are read off the
+    same tuples, and each candidate pool is x's whole occurrence class,
+    scanned from its start, every member tested against every closed
+    check."""
 
-    def _incidence(self, x):
-        tuples = sorted(helpers.power_tuples_through(self.rels, self.q, self.k, x))
-        return tuples, sorted({e for _, elems in tuples for e in elems})
+    def _tuples(self, x):
+        return sorted(helpers.power_tuples_through(self.rels, self.q, self.k, x))
 
-    def closed_checks(self, x, rank):
-        level = rank[x]
+    def near(self, x):
+        return sorted({e for _, elems in self._tuples(x) for e in elems} - {x})
+
+    def closed_checks(self, x, placed):
         out = []
-        for ri, elems in self._incidence(x)[0]:
-            if all(rank[e] <= level for e in elems):
+        for ri, elems in self._tuples(x):
+            if placed[-1].issuperset(elems):
                 tables = self.masks[ri]
                 out.append((
                     None,
@@ -215,7 +220,7 @@ class _FullScanContext(_PowerSearchContext):
                 ))
         return out
 
-    def candidates(self, x, checks, assignment, used, fixes):
+    def candidates(self, x, checks, assignment, used, fixes, free):
         pool = (fixes[x],) if x in fixes else self.class_members[self.occ_id[x]]
         partial = []
         for _, at_x, others in checks:
@@ -253,16 +258,41 @@ def test_narrowed_pool_keeps_the_closed_checks_it_did_not_read():
     assert got == _search_outcome(_FullScanContext(structure, 3), fixes)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 3), st.integers(1, 3), st.data())
-def test_narrowed_pool_searches_as_the_full_class_scan(q, k, data):
+# Searches whose class scans must not start past an unused member. In the
+# first the search backtracks past an image that a deeper scan had skipped
+# as used, and a scan that kept starting past it finds no automorphism. In
+# the second a scan rejects the member right after the used ones, which a
+# later scan of the class must still try.
+CLASS_SCANS = [
+    (
+        RelationalStructure(2, {
+            "ALL": Relation(2, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+            "NEQ": Relation(2, [(0, 1), (1, 0)]),
+        }),
+        3, {4: 7}, ((1, 2, 3, 0, 7, 4, 5, 6), 52),
+    ),
+    (
+        RelationalStructure(3, {"R": Relation(2, [(0, 2), (1, 1), (1, 2), (2, 0), (2, 1)])}),
+        3, {}, (tuple(range(27)), 27),
+    ),
+]
+
+
+@pytest.mark.parametrize("structure, k, fixes, outcome", CLASS_SCANS)
+def test_a_class_scan_starts_at_its_least_unused_member(structure, k, fixes, outcome):
+    assert _search_outcome(_PowerSearchContext(structure, k), fixes) == outcome
+    assert _search_outcome(_FullScanContext(structure, k), fixes) == outcome
+
+
+def _draw_structure(q, data, min_relations=1):
+    """1 or 2 drawn relations over q values (or none, with min_relations
+    0), each closed under a drawn permutation of its positions, so that
+    some have symmetries and the sweep enumerates orbits."""
     relations = {}
-    for r in range(data.draw(st.integers(1, 2))):
+    for r in range(data.draw(st.integers(min_relations, 2))):
         arity = data.draw(st.integers(1, 3))
         row = st.tuples(*[st.integers(0, q - 1)] * arity)
         rows = set(data.draw(st.lists(row, min_size=1, max_size=9)))
-        # closed under a drawn permutation of positions, so that some
-        # relations have symmetries and the sweep enumerates orbits
         perm = data.draw(st.permutations(range(arity)))
         while True:
             grown = rows | {tuple(t[i] for i in perm) for t in rows}
@@ -270,8 +300,14 @@ def test_narrowed_pool_searches_as_the_full_class_scan(q, k, data):
                 break
             rows = grown
         relations["R%d" % r] = Relation(arity, rows)
-    assume(len({v for rel in relations.values() for t in rel for v in t}) >= 2)
-    structure = RelationalStructure(q, relations)
+    return RelationalStructure(q, relations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_narrowed_pool_searches_as_the_full_class_scan(q, k, data):
+    structure = _draw_structure(q, data)
+    assume(len({v for rel in structure.relations.values() for t in rel for v in t}) >= 2)
     size = structure.domain_size ** k
     sources = data.draw(st.lists(st.integers(0, size - 1), max_size=3, unique=True))
     targets = data.draw(
@@ -282,6 +318,75 @@ def test_narrowed_pool_searches_as_the_full_class_scan(q, k, data):
     assert got == _search_outcome(_FullScanContext(structure, k), fixes)
     if isinstance(got[0], tuple):
         assert helpers.is_power_automorphism(structure, k, got[0])
+
+
+def _orbit_representative(elems, classes, p):
+    """elems with its values sorted within each class, p's class without p."""
+    out = list(elems)
+    for c in classes:
+        block = c[1:] if p in c else c
+        for m, e in zip(block, sorted(elems[m] for m in block)):
+            out[m] = e
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_closed_checks_join_the_tuples_whose_elements_are_all_placed(q, k, data):
+    structure = _draw_structure(q, data)
+    ctx = _PowerSearchContext(structure, k)
+    x = data.draw(st.integers(0, ctx.size - 1))
+    placed = set(data.draw(st.lists(st.integers(0, ctx.size - 1), max_size=ctx.size))) | {x}
+    full = helpers.power_tuples_through(ctx.rels, ctx.q, ctx.k, x)
+    # every closed tuple with x at a class's least position, as its orbit's
+    # representative; the other tuples through x are permutations of these
+    expected = {
+        (ri, _orbit_representative(elems, ctx.classes[ri], c[0]))
+        for ri, elems in full
+        if placed.issuperset(elems)
+        for c in ctx.classes[ri]
+        if elems[c[0]] == x
+    }
+    prefixes = [{e - e % w for e in placed} for w in ctx.weights]
+    joined = ctx._representatives(x, prefixes)
+    assert len(joined) == len(set(joined))
+    assert set(joined) == expected
+    ctx.closed_checks(x, prefixes)
+    assert set(ctx._checks[x]) == expected
+    assert ctx.near(x) == sorted({e for _, elems in full for e in elems} - {x})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_masks_and_occurrence_classes_match_their_digitwise_forms(q, k, data):
+    structure = _draw_structure(q, data, min_relations=0)
+    ctx = _PowerSearchContext(structure, k)
+    for ri, rel in enumerate(ctx.rels):
+        for m in range(rel.arity):
+            for e in range(ctx.size):
+                assert ctx.masks[ri][m][e] == sum(
+                    1 << d * len(rel) + i
+                    for d, v in enumerate(ctx.digits[e])
+                    for i, t in enumerate(rel)
+                    if t[m] == v
+                )
+    # x and y share a class iff as many tuples pass through each at every
+    # position of every relation; with no relations, one class holds all
+    profile = [
+        tuple(
+            math.prod(sum(t[p] == v for t in rel) for v in ctx.digits[x])
+            for rel in ctx.rels
+            for p in range(rel.arity)
+        )
+        for x in range(ctx.size)
+    ]
+    for x, y in itertools.combinations(range(ctx.size), 2):
+        assert (ctx.occ_id[x] == ctx.occ_id[y]) == (profile[x] == profile[y])
+    assert sorted(e for members in ctx.class_members for e in members) == list(range(ctx.size))
+    for cid, members in enumerate(ctx.class_members):
+        assert members == [x for x in range(ctx.size) if ctx.occ_id[x] == cid]
+    if not ctx.rels:
+        assert ctx.class_members == [list(range(ctx.size))]
 
 
 @given(
