@@ -40,7 +40,7 @@ from .dichotomy import (
 )
 from .frames import build_frame, dump
 from .maltsev import find_maltsev
-from .oracle import CapExceededError, oracle_count
+from .oracle import DEFAULT_CAP_BITS, CapExceededError, oracle_count
 from .relations import Instance, Relation, RelationalStructure, UnknownRelationError
 
 
@@ -166,22 +166,29 @@ def resolve_instance(structure: RelationalStructure, instance: Instance) -> None
         raise CliParseError(str(e))
 
 
-def _load_structure(path: str) -> RelationalStructure:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
         raise CliParseError("cannot read %s: %s" % (path, e))
-    return parse_structure_text(text)
+
+
+def _load_structure(path: str) -> RelationalStructure:
+    return parse_structure_text(_read(path))
 
 
 def _load_instance(path: str, structure: RelationalStructure) -> Instance:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise CliParseError("cannot read %s: %s" % (path, e))
-    instance = parse_instance_text(text)
+    instance = parse_instance_text(_read(path))
     resolve_instance(structure, instance)
     return instance
+
+
+def _maltsev_or_refuse(structure: RelationalStructure, why: str):
+    """find_maltsev's operation, or None after stderr is told the refusal."""
+    op = find_maltsev(structure)
+    if op is None:
+        print("refused: the language admits no Mal'tsev operation; " + why, file=sys.stderr)
+    return op
 
 
 def format_instance_text(instance: Instance) -> str:
@@ -208,13 +215,8 @@ def cmd_analyze(args) -> int:
 def cmd_decide(args) -> int:
     structure = _load_structure(args.structure)
     instance = _load_instance(args.instance, structure)
-    op = find_maltsev(structure)
+    op = _maltsev_or_refuse(structure, "the frame engine does not apply")
     if op is None:
-        print(
-            "refused: the language admits no Mal'tsev operation; "
-            "the frame engine does not apply",
-            file=sys.stderr,
-        )
         return 65
     frame = build_frame(structure, op, instance)
     if args.dump_frame:
@@ -237,13 +239,8 @@ def cmd_count(args) -> int:
         # skipping the tractability gate: re-check the counting invariants
         # on every stage instead
         verify = True
-        op = find_maltsev(structure)
+        op = _maltsev_or_refuse(structure, "nothing to count with")
         if op is None:
-            print(
-                "refused: the language admits no Mal'tsev operation; "
-                "nothing to count with",
-                file=sys.stderr,
-            )
             return 65
     else:
         verdict = decide_strong_balance(structure, max_nodes=args.max_nodes)
@@ -351,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force count for cross-checking")
     p.add_argument("structure")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=24, help="enumeration cap in bits")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP_BITS, help="enumeration cap in bits")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("selftest", help="compare fast and brute-force counts")

@@ -59,6 +59,7 @@ from .relations import (
     Instance,
     Relation,
     RelationalStructure,
+    _require_int,
     collapse_scope,
     is_rank_one_block,
     pair_matrix,
@@ -72,12 +73,6 @@ VERDICT_TIMEOUT = "TIMEOUT"
 DEFAULT_SWEEP_NODES = 200_000
 # refute_balance tries this many default formulas
 REFUTATION_FORMULAS = 64
-
-
-def _require_int(value, what: str) -> None:
-    """A ValueError unless value is an int; a bool is not one here."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError("%s must be an int, got %r" % (what, value))
 
 
 class BudgetExhausted(RuntimeError):

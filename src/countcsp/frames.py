@@ -17,12 +17,11 @@ the components its scope meets and its new variables. The builder chooses
 the order in which constraints are added (fewest distinct variables
 first, then highest variable first), whatever order the instance lists
 them in, so each addition reaches few positions past its scope. An
-addition reads the conjunction only up to its last scope position, off
-the frame's head there, a frame of the projection onto those positions:
-span's level walk of the head, capped at q^|J| tuples for a scope J,
-gives the projection and its classes, and only a walk past the cap pins
-sections on the head and closes the scope inside them. The rows it takes
-are lifted back to full rows by the witness walk.
+addition walks the frame itself only up to its last scope position:
+span's level walk stopped there, capped at q^|J| tuples for a scope J,
+gives the projection onto those positions and its classes, and each
+tuple it keeps is a full row of the conjunction. Only a walk past the cap
+pins sections on the frame and closes the scope inside them.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -33,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .maltsev import MaltsevOp, apply, encode
-from .relations import Instance, Partition, Relation, collapse_scope
+from .relations import Instance, Partition, Relation, _require_int, collapse_scope
 
 
 class Frame:
@@ -43,10 +42,11 @@ class Frame:
     with one empty row represents the relation containing the empty tuple.
     Frames are never mutated, so their shared-prefix groups are computed at
     most once. `rows` may be a dict from row to index built in index order,
-    as the frame builders intern their rows.
+    as the frame builders intern their rows. `reach` is one more than the
+    largest witnessed value: phi must act on range(reach).
     """
 
-    __slots__ = ("arity", "rows", "witness", "_groups")
+    __slots__ = ("arity", "rows", "witness", "reach", "_groups")
 
     def __init__(self, arity: int, rows: Iterable[tuple], witness: Mapping):
         if arity < 0:
@@ -56,6 +56,7 @@ class Frame:
             if len(r) != arity:
                 raise ValueError("row %r does not have arity %d" % (r, arity))
         witness = dict(witness)
+        reach = 0
         for (a, i), k in witness.items():
             if not 0 <= i < arity:
                 raise ValueError("witness position %d out of range" % i)
@@ -63,9 +64,12 @@ class Frame:
                 raise ValueError("witness row index %d out of range" % k)
             if rows[k][i] != a:
                 raise ValueError("witness row for (%r, %d) has wrong value" % (a, i))
+            if a >= reach:
+                reach = a + 1
         self.arity = arity
         self.rows = rows
         self.witness = witness
+        self.reach = reach
         self._groups = None
 
     def __len__(self) -> int:
@@ -110,6 +114,14 @@ def empty_frame(arity: int) -> Frame:
     return Frame(arity, (), {})
 
 
+def _check_reach(frame: Frame, phi: MaltsevOp) -> None:
+    """A ValueError unless phi's domain holds every witnessed value."""
+    if frame.reach > phi.q:
+        raise ValueError(
+            "operation is over %d elements, the frame over at least %d" % (phi.q, frame.reach)
+        )
+
+
 def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     """Close a tuple set under phi, tracking only the projection onto the
     given positions; returns full tuples, one per projection value reached.
@@ -127,8 +139,8 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     then (j2, j1, j2); after the j2 loop, every (j1, j3, j1) with j3 < j1.
     An arrangement whose middle index repeats an outer one is skipped:
     phi(x, x, y) = y and phi(y, x, x) = y find nothing new.
-    An index that is negative or not below the first row's length raises
-    ValueError.
+    An index that is negative or not below the first row's length, or a
+    seed value outside range(q) at an index, raises ValueError.
     """
     idx = tuple(sorted(set(indices)))
     if not idx:
@@ -140,11 +152,15 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     table = phi.power_table(len(idx))
     q = phi.q
     Q = q ** len(idx)
+    domain = frozenset(range(q))
     full: list = []
     codes: list = []
     seen: set = set()
     for t in rows:
-        c = encode([t[i] for i in idx], q)
+        digits = [t[i] for i in idx]
+        if not domain.issuperset(digits):
+            raise ValueError("seed %r has a value outside range(%d) at %r" % (t, q, idx))
+        c = encode(digits, q)
         if c not in seen:
             seen.add(c)
             full.append(tuple(t))
@@ -223,20 +239,21 @@ def span(frame: Frame, phi: MaltsevOp) -> Relation:
     """
     if frame.arity < 1:
         raise ValueError("span needs positive arity")
-    return Relation(frame.arity, _levels(frame, phi))
+    return Relation(frame.arity, _levels(frame, phi, frame.arity))
 
 
-def _levels(frame: Frame, phi: MaltsevOp, cap: Optional[int] = None) -> Optional[list]:
-    """span's level walk: the generated relation as a list, one tuple per
-    prefix at each level, or None as soon as a level holds more than `cap`
-    tuples."""
+def _levels(frame: Frame, phi: MaltsevOp, stop: int, cap: Optional[int] = None) -> Optional[list]:
+    """span's level walk over positions 0..stop-1: tuples of the generated
+    relation, one per stop-prefix, or None once a level holds more than
+    `cap` tuples. A value reached without a witness raises ValueError."""
+    _check_reach(frame, phi)
     level = [frame.witness_row(a, 0) for a in frame.projection(0)]
-    for i in range(1, frame.arity):
+    for i in range(1, stop):
         class_of = {a: cls for cls in frame.prefix_groups()[i].values() for a in cls}
         nxt = []
         for t in level:
             if (t[i], i) not in frame.witness:
-                raise ValueError("no witness for value %r at position %d" % (t[i], i))
+                raise ValueError("no witness for (%r, %d): frame invariants violated" % (t[i], i))
             nxt.extend(_swap_in(frame, phi, t, i, class_of[t[i]]).values())
         if cap is not None and len(nxt) > cap:
             return None
@@ -331,6 +348,7 @@ def member(frame: Frame, phi: MaltsevOp, t: Sequence[int]) -> bool:
     t = tuple(t)
     if len(t) != frame.arity:
         raise ValueError("tuple arity mismatch")
+    _check_reach(frame, phi)
     return _lift(frame, phi, t) is not None
 
 
@@ -420,6 +438,7 @@ class SectionCache:
     """
 
     def __init__(self, frame: Frame, phi: MaltsevOp):
+        _check_reach(frame, phi)
         self.frame = frame
         self.phi = phi
         self._cache: dict = {(): frame}
@@ -443,23 +462,21 @@ class SectionCache:
 def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> Frame:
     """Small frame for (generated relation) AND relation(scope variables).
 
-    Up to the last scope variable the conjunction is read off the frame's
-    head, its rows cut after that variable and its witnesses up to it: the
-    frame invariants at position i concern positions up to i only, so the
-    head is a frame of the projection onto those positions. A head row with
-    an unwitnessed value raises ValueError. span's level walk of the head,
-    kept to the tuples whose scope values satisfy the constraint, is the
-    conjunction's projection there; none kept means no solution. At each
-    position i the kept tuples with one i-prefix carry a whole class of the
+    Up to the last scope variable the conjunction is read off the frame
+    itself, whose invariants at position i concern positions up to i only;
+    a row with an unwitnessed value up to there raises ValueError. span's
+    level walk stopped there, kept to the tuples whose scope values
+    satisfy the constraint, gives the conjunction's projection, each kept
+    tuple a full row of it; none kept means no solution. At each position
+    i the kept tuples with one i-prefix carry a whole class of the
     conjunction (rectangularity), and the walk lists them together, so the
     first kept tuple with each value at i witnesses it, and a class's
-    witnesses share a prefix. Every witnessing head row is lifted back to a
-    row of the frame by the witness walk (_lift).
+    witnesses share a prefix.
 
     The walk stops once a level holds more than q^|J| tuples, J the scope;
     no level does when J is all of 0..last. Then classes are harvested on
-    the head's sections: the filtered closure of the section at a prefix,
-    onto its first position and the scope, gives one tuple per value there.
+    the frame's sections: the filtered closure of the section at a prefix,
+    onto its first position and the scope, gives one row per value there.
     The harvest at the empty prefix takes all of position 0, or finds no
     solution. At each later position, one-index closures of the rows taken
     so far meet every class of the conjunction (see _walk), and each such
@@ -474,48 +491,32 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     n = frame.arity
     relation, scope = collapse_scope(relation, scope)
     for v in scope:
+        _require_int(v, "scope variable")
         if not 0 <= v < n:
             raise ValueError("scope variable %d out of range" % v)
     if frame.is_empty() or not relation.tuples:
         return empty_frame(n)
     J = sorted(scope)
     last = J[-1]
-    head = frame
-    if last + 1 < n:
-        head = Frame(
-            last + 1,
-            (r[:last + 1] for r in frame.rows),
-            {(a, i): k for (a, i), k in frame.witness.items() if i <= last},
-        )
-    if any((a, i) not in head.witness for r in head.rows for i, a in enumerate(r)):
+    if any((a, i) not in frame.witness for r in frame.rows for i, a in enumerate(r[:last + 1])):
         raise ValueError("inputs violate the frame invariants")
     rows: dict = {}  # row -> index, in index order
     witness: dict = {}
-
-    def take(h: tuple, i: int) -> None:
-        row = h if head is frame else _lift(frame, phi, h)
-        if row is None:
-            raise ValueError("inputs violate the frame invariants")
-        witness[(h[i], i)] = rows.setdefault(row, len(rows))
-
-    try:
-        level = _levels(head, phi, phi.q ** len(J))
-    except ValueError:
-        raise ValueError("inputs violate the frame invariants") from None
+    level = _levels(frame, phi, last + 1, phi.q ** len(J))
     if level is not None:
-        kept = [h for h in level if tuple(h[v] for v in scope) in relation]
+        kept = [t for t in level if tuple(t[v] for v in scope) in relation]
         if not kept:
             return empty_frame(n)
         for i in range(last + 1):
-            for h in kept:
-                if (h[i], i) not in witness:
-                    take(h, i)
+            for t in kept:
+                if (t[i], i) not in witness:
+                    witness[(t[i], i)] = rows.setdefault(t, len(rows))
     else:
-        sections = SectionCache(head, phi)
+        sections = SectionCache(frame, phi)
 
         def harvest(prefix: tuple) -> dict:
             # the filtered closure inside the section at prefix, onto its
-            # first position and the scope: one tuple per value at len(prefix)
+            # first position and the scope: one row per value at len(prefix)
             i = len(prefix)
             found: dict = {}
             Jp = sorted({v - i for v in J if v >= i} | {0})
@@ -524,7 +525,7 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
                 if s[0] not in found and tuple(full[v] for v in scope) in relation:
                     found[s[0]] = full
             for a in sorted(found):
-                take(found[a], i)
+                witness[(a, i)] = rows.setdefault(found[a], len(rows))
             return found
 
         if not harvest(()):

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .relations import Relation, RelationalStructure
+from .relations import Relation, RelationalStructure, _require_int
 
 # Largest code space q**k that power_table serves from a byte table: a table
 # holds Q**3 bytes (531,441 at the cap) and every code fits in one byte.
@@ -47,13 +47,12 @@ class MaltsevOp:
         if len(table) != q * q * q:
             raise ValueError("table must have q^3 entries")
         for v in table:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
-                raise ValueError("table entries are ints in range(%d), got %r" % (q, v))
-        q2 = q * q
-        for a in range(q):
-            for b in range(q):
-                if table[a * q2 + b * q + b] != a or table[b * q2 + b * q + a] != a:
-                    raise ValueError("table violates the Mal'tsev identities")
+            _require_int(v, "table entry")
+            if not 0 <= v < q:
+                raise ValueError("table entries are in range(%d), got %d" % (q, v))
+        for v, pinned in zip(table, _forced(q)):
+            if pinned is not None and v != pinned:
+                raise ValueError("table violates the Mal'tsev identities")
         self.q = q
         self.table = table
         self._powers: dict = {0: bytearray(1)}
@@ -152,14 +151,10 @@ class _WideTable:
 
 
 def free_entries(q: int):
-    """Argument triples not forced by the identities, in lexicographic order."""
-    return [
-        (a, b, c)
-        for a in range(q)
-        for b in range(q)
-        for c in range(q)
-        if b != a and b != c
-    ]
+    """Argument triples not forced by the identities (_forced), in
+    lexicographic order."""
+    triples = itertools.product(range(q), repeat=3)
+    return [t for t, pinned in zip(triples, _forced(q)) if pinned is None]
 
 
 def apply(op: MaltsevOp, t1, t2, t3) -> tuple:

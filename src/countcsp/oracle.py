@@ -18,6 +18,7 @@ from .relations import (
     Partition,
     Relation,
     RelationalStructure,
+    _require_int,
     pair_matrix,
     partition_from_groups,
 )
@@ -37,8 +38,10 @@ def enumerate_solutions(
 ) -> Relation:
     """All satisfying assignments of the instance, as an arity-n relation.
 
-    Raises CapExceededError when q**n > 2**cap_bits.
+    Raises CapExceededError when q**n > 2**cap_bits, ValueError for a
+    non-int cap_bits.
     """
+    _require_int(cap_bits, "enumeration cap")
     q = structure.domain_size
     n = instance.num_vars
     if n < 1:
@@ -63,7 +66,8 @@ def oracle_count(
 ) -> int:
     """Number of satisfying assignments, by full enumeration. An instance
     over no variables has one, the empty assignment: it holds no constraint,
-    since every scope is nonempty."""
+    since every scope is nonempty. A non-int cap_bits is a ValueError."""
+    _require_int(cap_bits, "enumeration cap")
     if instance.num_vars == 0:
         return 1
     return len(enumerate_solutions(structure, instance, cap_bits))

@@ -36,6 +36,12 @@ def _valid_name(name: str) -> bool:
     return bool(name) and not name[0].isdigit() and set(name) <= _NAME_OK
 
 
+def _require_int(value, what: str) -> None:
+    """A ValueError unless value is an int and not a bool: the one int check."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an int, got %r" % (what, value))
+
+
 class Relation:
     """An arity-r relation over {0..q-1}: a deduplicated, lexicographically
     sorted tuple set with O(1) membership."""
@@ -51,7 +57,8 @@ class Relation:
             if len(t) != arity:
                 raise ValueError("tuple %r does not have arity %d" % (t, arity))
             for v in t:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                _require_int(v, "domain element")
+                if v < 0:
                     raise ValueError("domain elements are nonnegative ints, got %r" % (v,))
             seen.add(t)
         self.arity = arity
@@ -189,8 +196,9 @@ class CountMatrix:
         for (r, c), v in entries.items():
             if r not in rows or c not in cols:
                 raise ValueError("entry (%r, %r) outside declared labels" % (r, c))
-            if not isinstance(v, int) or v < 0:
-                raise ValueError("entries must be nonnegative integers")
+            _require_int(v, "entry")
+            if v < 0:
+                raise ValueError("entries must be nonnegative, got %d" % v)
             if v:
                 clean[(r, c)] = v
         self.entries = clean
@@ -416,8 +424,7 @@ class RelationalStructure:
     """
 
     def __init__(self, domain_size: int, relations: Mapping[str, Relation] | None = None):
-        if not isinstance(domain_size, int) or isinstance(domain_size, bool):
-            raise ValueError("domain size must be an int, got %r" % (domain_size,))
+        _require_int(domain_size, "domain size")
         if domain_size < 2:
             raise ValueError("domain size must be at least 2")
         relations = dict(relations or {})
@@ -487,17 +494,17 @@ class Instance:
     __slots__ = ("num_vars", "constraints")
 
     def __init__(self, num_vars: int, constraints: Iterable = ()):
-        if not isinstance(num_vars, int) or isinstance(num_vars, bool) or num_vars < 0:
-            raise ValueError("variable count must be a nonnegative int, got %r" % (num_vars,))
+        _require_int(num_vars, "variable count")
+        if num_vars < 0:
+            raise ValueError("variable count must be nonnegative, got %d" % num_vars)
         cons = []
         for name, scope in constraints:
             scope = tuple(scope)
             if not scope:
                 raise ValueError("empty scope")
             for v in scope:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    raise ValueError("scope variables are nonnegative ints, got %r" % (v,))
-                if v >= num_vars:
+                _require_int(v, "scope variable")
+                if not 0 <= v < num_vars:
                     raise ValueError("scope variable %d out of range" % v)
             cons.append((str(name), scope))
         self.num_vars = num_vars

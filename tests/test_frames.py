@@ -11,6 +11,7 @@ from countcsp import (
     Instance,
     MaltsevOp,
     Relation,
+    RelationalStructure,
     SectionCache,
     add_constraint,
     build_frame,
@@ -81,8 +82,8 @@ def test_add_constraint_and_sections_reject_a_malformed_frame():
             add_constraint(f, MIN2, relation, scope)
     with pytest.raises(ValueError, match="frame invariants"):
         fix_prefix(f, MIN2, (1,))
-    # the head of this one, cut after position 0, reaches 1 there, which
-    # has no witness in the frame: the harvested head row (1,) does not lift
+    # this one's row (1, 1) reaches 1 at position 0, the scope's last
+    # position, where 1 has no witness: the pre-check up to there rejects it
     g = Frame(2, [(0, 0), (1, 1)], {(0, 0): 0, (0, 1): 0, (1, 1): 1})
     with pytest.raises(ValueError, match="frame invariants"):
         add_constraint(g, MIN2, Relation(1, [(0,), (1,)]), (0,))
@@ -144,6 +145,14 @@ def test_closure_project_rejects_indices_outside_the_rows():
     with pytest.raises(ValueError):
         closure_project(iter(rows), MIN2, (3,))
     assert closure_project(iter(rows), MIN2, (2,)) == [(0, 0, 0)]
+
+
+def test_closure_project_rejects_seeds_outside_the_domain():
+    # (0, 3) and (1, 1) both pack to code 3 at q = 2, so the real seed
+    # (1, 1) was dropped as a duplicate of (0, 3)
+    for rows in ([(0, 3), (1, 1)], [(1, 1), (0, 3)], [(0, 0), (-1, 1)]):
+        with pytest.raises(ValueError, match=r"outside range\(2\)"):
+            closure_project(rows, MIN2, (0, 1))
 
 
 def test_closure_results_stay_inside_closure():
@@ -225,6 +234,39 @@ def test_section_cache_pins_long_prefixes_without_recursion():
     assert sec.arity == 15 and len(sec.rows) == 16
 
 
+def _aff3_frame() -> Frame:
+    aff3 = _affine_op(3)
+    rel = Relation(3, [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0])
+    st = RelationalStructure(3, {"A": rel})
+    return build_frame(st, aff3, Instance(3, [("A", (0, 1, 2))]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: member(f, MIN2, (1, 2, 0)),
+        lambda f: span(f, MIN2),
+        lambda f: add_constraint(f, MIN2, Relation(1, [(0,)]), (0,)),
+        lambda f: fix_prefix(f, MIN2, (1,)),
+        lambda f: count_frame(f, MIN2),
+    ],
+    ids=["member", "span", "add_constraint", "fix_prefix", "count_frame"],
+)
+def test_an_operation_over_too_few_elements_is_a_value_error(call):
+    # xor3's operation on a frame of aff3: raw IndexErrors, and count_frame
+    # blamed a witness row of its own making
+    with pytest.raises(ValueError, match="operation is over 2 elements, the frame over at least 3"):
+        call(_aff3_frame())
+
+
+def test_add_constraint_rejects_a_scope_variable_that_is_not_an_int():
+    # "a" and 0.0 raised raw TypeErrors, True ran as variable 1
+    f = initial_frame(2, 2)
+    for scope in (("a",), (0.0,), (True,)):
+        with pytest.raises(ValueError, match="scope variable must be an int"):
+            add_constraint(f, MIN2, Relation(1, [(0,)]), scope)
+
+
 def test_collapse_scope():
     rel = XOR3.relation("XOR3")
     collapsed, scope = collapse_scope(rel, (1, 1, 0))
@@ -278,9 +320,10 @@ def _closures_while(monkeypatch, run):
 
 def test_a_scope_past_the_walk_bound_is_closed(monkeypatch):
     # The EQ(k, m + k) links leave 2^m tuples on positions 0..2m-1, and the
-    # walk of that head passes 2^3, the bound for XOR3(0, m - 1, 2m - 1),
-    # at position 3; so that scope is closed instead, once: the harvest at
-    # the empty prefix both decides emptiness and takes position 0.
+    # level walk of that frame passes 2^3, the bound for XOR3(0, m - 1,
+    # 2m - 1), at position 3; so that scope is closed instead, once, in
+    # sections pinned on the frame itself: the harvest at the empty prefix
+    # both decides emptiness and takes position 0.
     # x_{m-1} = x_{2m-1} makes the XOR3 force x0 = 0.
     m = 8
     links = build_frame(XOR3, MIN2, Instance(2 * m, [("EQ", (k, m + k)) for k in range(m)]))
@@ -294,8 +337,9 @@ def test_a_scope_past_the_walk_bound_is_closed(monkeypatch):
 
 def test_links_beside_a_scope_close_one_index_at_a_time(monkeypatch):
     # built as a whole, the EQ links are components apart from the XOR3
-    # until it joins three of them, and their product's head walk stays
-    # within its bound, so nothing is closed over more than one index
+    # until it joins three of them, and the level walk of their product,
+    # stopped after the scope's last position, stays within its bound, so
+    # nothing is closed over more than one index
     for m in (8, 100):
         links = [("EQ", (k, m + k)) for k in range(m)]
         inst = Instance(2 * m, links + [("XOR3", (0, m - 1, 2 * m - 1))])
@@ -308,7 +352,7 @@ def test_links_beside_a_scope_close_one_index_at_a_time(monkeypatch):
 
 def test_a_leading_gap_on_q7_is_its_own_component(monkeypatch):
     # EQ(0, 0) leaves position 0 free in front of R(2, 4, 3): built as one
-    # frame, the head walk passed 7^3 there and one closure over
+    # frame, the level walk passed 7^3 there and one closure over
     # (0, 1, 2, 3) reached 2,401 codes in 15-19 s
     st = rank_defect_structure()
     op = find_maltsev(st)

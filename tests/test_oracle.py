@@ -35,6 +35,15 @@ def test_enumeration_cap():
     assert oracle_count(st, small, cap_bits=16) == 4 * 2 ** 13
 
 
+@pytest.mark.parametrize("cap", ["x", 2.5, True, None])
+@pytest.mark.parametrize("n", [0, 3])
+def test_a_cap_that_is_not_an_int_is_a_value_error(cap, n):
+    # "x" raised a raw TypeError; 2.5 and True were taken as caps
+    inst = Instance(n, [("XOR3", (0, 1, 2))] if n else [])
+    with pytest.raises(ValueError, match="enumeration cap must be an int"):
+        oracle_count(xor3_structure(), inst, cap_bits=cap)
+
+
 def test_zero_variable_instance_has_one_assignment():
     st = xor3_structure()
     empty = Instance(0, [])

@@ -2,9 +2,10 @@
 modules, unused imports, where the byte-table cap is read, that counting
 reads sections without pair closures, that constraint names are resolved
 in one place, that count and build_frame share one frame builder, that
-every function the benchmark's tracer wraps exists, that a short traced
-benchmark run ends in a strict JSON line, and the demos running end to
-end."""
+add_constraint builds no frame but the one it shrinks, that one function
+tells an int from a bool, that every function the benchmark's tracer wraps
+exists, that a short traced benchmark run ends in a strict JSON line, and
+the demos running end to end."""
 
 import ast
 import importlib
@@ -109,9 +110,9 @@ def test_counting_pins_no_frames():
     assert not hasattr(countcsp.counting, "add_constraint")
 
 
-def _callers(name: str) -> list:
-    """Qualified names of the functions anywhere in src/countcsp that call
-    `name`, once per call."""
+def _calls(match) -> list:
+    """Qualified names of the functions anywhere in src/countcsp that make
+    a call for which match(call node) holds, once per call."""
     out: list = []
 
     def visit(node, scope):
@@ -119,15 +120,19 @@ def _callers(name: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
-                    out.append(".".join(scope))
+            if isinstance(child, ast.Call) and match(child):
+                out.append(".".join(scope))
             visit(child, scope)
 
     for module in MODULES:
         visit(_tree(module), (module,))
     return out
+
+
+def _callers(name: str) -> list:
+    """Qualified names of the functions anywhere in src/countcsp that call
+    `name`, once per call."""
+    return _calls(lambda c: name in (getattr(c.func, "id", None), getattr(c.func, "attr", None)))
 
 
 def test_sections_are_walked_without_a_pair_index():
@@ -172,6 +177,32 @@ def test_count_and_decide_share_one_frame_builder():
     modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     assert "bisect" not in modules
+
+
+def test_add_constraint_builds_no_frame_but_the_one_it_shrinks():
+    # a constraint is read off the frame it is given, with no cut copy of
+    # it: the witness walk serves membership alone, and the one Frame built
+    # is the argument of shrink_to_small
+    assert _callers("_lift") == ["frames.member"]
+    tree = _tree("frames")
+    fn = next(n for n in tree.body if getattr(n, "name", None) == "add_constraint")
+    calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+    built = [c for c in calls if getattr(c.func, "id", None) == "Frame"]
+    shrunk = [c.args[0] for c in calls if getattr(c.func, "id", None) == "shrink_to_small"]
+    assert len(built) == 1 and built == shrunk
+
+
+def _tests_for_bool(call: ast.Call) -> bool:
+    if getattr(call.func, "id", None) != "isinstance" or len(call.args) != 2:
+        return False
+    kinds = call.args[1].elts if isinstance(call.args[1], ast.Tuple) else [call.args[1]]
+    return any(getattr(k, "id", None) == "bool" for k in kinds)
+
+
+def test_one_function_tells_an_int_from_a_bool():
+    # every "an int, and not a bool" check goes through _require_int, in
+    # relations, the one module the oracle may import
+    assert _calls(_tests_for_bool) == ["relations._require_int"]
 
 
 def test_every_tracer_target_resolves():

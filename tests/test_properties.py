@@ -460,8 +460,9 @@ def test_constraint_order_moves_no_count_or_relation(k, seed, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1), st.data())
 def test_add_constraint_keeps_the_tuples_that_satisfy_it(k, seed, data):
-    # scopes with gaps, so that both the walk of the frame's head and the
-    # closure it falls back to past q^|J| tuples are reached
+    # scopes with gaps, so that both the level walk of the frame up to the
+    # scope's last position and the closure it falls back to past q^|J|
+    # tuples, in sections pinned on the frame itself, are reached
     structure, phi = SECTION_LANGUAGES[k]
     inst = random_instance(structure, random.Random(seed), max_vars=6, max_constraints=3)
     frame = build_frame(structure, phi, inst)

@@ -96,6 +96,8 @@ def test_count_matrix_basics():
         CountMatrix([0], [0], {(0, 1): 1})
     with pytest.raises(ValueError):
         CountMatrix([0], [0], {(0, 0): -1})
+    with pytest.raises(ValueError, match="entry must be an int"):
+        CountMatrix([0], [0], {(0, 0): True})
 
 
 def test_rank_one_block_examples():

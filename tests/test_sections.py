@@ -53,6 +53,9 @@ one product: of the 180 instances, the dumps of four changed, each with
 several components (xor3 draws 10 and 36, diag3 draw 5, constants draw 2,
 0-based in the battery's order). The counts, traces and relations did not
 move.
+
+No digest moved when add_constraint came to walk and section the frame it
+is given, with no head cut after the scope and no witness rows lifted.
 """
 
 import hashlib
@@ -169,8 +172,9 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # level walk of the frame's head, with no scope closure and no pinned
     # sections while the walk stays within q^|J| tuples, made 1,110
     # closures into 894 and 110 sections into 56, the ones count_frame
-    # pins; each walk reads its head's values at position 0 (projection)
-    # once, on the 18 constraints.
+    # pins; each walk reads its frame's values at position 0 (projection)
+    # once, on the 18 constraints. Walking the frame itself, with no head
+    # cut after the scope, moved none of these counts.
     assert calls == {"closure_project": 894, "_fix_first": 56, "projection": 18}
     # count_frame alone reads both classes off the sections' witness maps,
     # one lookup per class test (the two readings above made 835 closures,
