@@ -18,10 +18,11 @@ position j is computed by a sweep over i:
 Everything runs on frames; the only sizes touched are projections onto at
 most three coordinates. All arithmetic is exact.
 
-`count` sweeps each connected component of an instance on its own frame
-and multiplies the results. Within a component the coordinate order is the
-sorted variable order; frames._component_frames builds the frames and
-chooses the order in which constraints are added.
+`count` sweeps each connected component of an instance on its own frame,
+cut to the positions that earlier ones leave free (_cut), and multiplies
+the results. Within a component the coordinate order is the sorted
+variable order; frames._component_frames builds the frames and chooses the
+order in which constraints are added.
 """
 
 from __future__ import annotations
@@ -238,11 +239,13 @@ def count(
     """Number of solutions of the instance, via frames and reconstruction:
     q**free, for the variables no constraint mentions, times the counts of
     the connected components' frames (frames._component_frames), each over
-    its variables in ascending order.
+    its variables in ascending order and cut to its free positions (_cut).
 
     Every frame is built before any is counted; a component with no
-    solution makes the count 0 and leaves the trace empty. The trace lists
-    each component's stages in turn, components by least variable. A
+    solution makes the count 0 and leaves the trace empty. A component with
+    no free position has one solution and is not swept. The trace lists
+    each component's stages over its free positions in turn, components by
+    least variable; verify=True checks those stages only. A
     NotBalancedError names its failing pair by instance variables.
     """
     components = _component_frames(structure, phi, instance)
@@ -250,8 +253,33 @@ def count(
         return 0
     total = structure.domain_size ** (instance.num_vars - sum(len(v) for v, _ in components))
     for variables, frame in components:
+        keep, cut = _cut(frame)
+        if not keep:
+            continue
         steps: Optional[list] = None if trace is None else []
-        total *= count_frame(frame, phi, verify=verify, trace=steps, variables=variables)
+        named = tuple([variables[p] for p in keep])
+        total *= count_frame(cut, phi, verify=verify, trace=steps, variables=named)
         if trace is not None:
             trace.extend(steps)
     return total
+
+
+def _cut(frame: Frame) -> tuple:
+    """(keep, cut): the positions of a nonempty frame where some
+    shared-prefix class holds more than one value, ascending, and the frame
+    over just those positions.
+
+    At any other position p every class is one value, so x_p is a function
+    of x_0 .. x_{p-1}. Dropping p is then one-to-one on the generated
+    relation, and it keeps the later positions' classes, since prefixes with
+    and without p correspond one to one. So the rows and the witness map,
+    cut to the kept positions and renumbered, are a frame of a relation of
+    the same size, for any phi-closed relation, balanced or not.
+    """
+    keep = [p for p, g in enumerate(frame.prefix_groups()) if any(len(c) > 1 for c in g.values())]
+    if len(keep) == frame.arity:
+        return keep, frame
+    at = {p: k for k, p in enumerate(keep)}
+    rows = [tuple([r[p] for p in keep]) for r in frame.rows]
+    witness = {(a, at[p]): k for (a, p), k in frame.witness.items() if p in at}
+    return keep, Frame(len(keep), rows, witness)

@@ -51,7 +51,9 @@ class Frame:
     def __init__(self, arity: int, rows: Iterable[tuple], witness: Mapping):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        rows = tuple(tuple(r) for r in rows)
+        # tuples built from lists, not generators: tuple(<generator>) sizes
+        # its result by resizing, which fills CPython's tuple free lists
+        rows = tuple([tuple(r) for r in rows])
         for r in rows:
             if len(r) != arity:
                 raise ValueError("row %r does not have arity %d" % (r, arity))
@@ -504,7 +506,7 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     witness: dict = {}
     level = _levels(frame, phi, last + 1, phi.q ** len(J))
     if level is not None:
-        kept = [t for t in level if tuple(t[v] for v in scope) in relation]
+        kept = [t for t in level if tuple([t[v] for v in scope]) in relation]
         if not kept:
             return empty_frame(n)
         for i in range(last + 1):
@@ -522,7 +524,7 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
             Jp = sorted({v - i for v in J if v >= i} | {0})
             for s in closure_project(sections.get(prefix).rows, phi, Jp):
                 full = prefix + s
-                if s[0] not in found and tuple(full[v] for v in scope) in relation:
+                if s[0] not in found and tuple([full[v] for v in scope]) in relation:
                     found[s[0]] = full
             for a in sorted(found):
                 witness[(a, i)] = rows.setdefault(found[a], len(rows))
@@ -570,9 +572,9 @@ def _component_frames(structure, phi: MaltsevOp, instance: Instance) -> Optional
         new = sorted({v for v in scope if v not in of})
         variables = tuple(sorted({v for vs, _ in met for v in vs}.union(new)))
         pos = {v: k for k, v in enumerate(variables)}
-        parts = [(tuple(pos[v] for v in vs), g) for vs, g in met]
+        parts = [(tuple([pos[v] for v in vs]), g) for vs, g in met]
         f = _product(parts + [((pos[v],), _free(q)) for v in new], len(variables))
-        f = add_constraint(f, phi, relation, tuple(pos[v] for v in scope))
+        f = add_constraint(f, phi, relation, tuple([pos[v] for v in scope]))
         if f.is_empty():
             return None
         component = (variables, f)

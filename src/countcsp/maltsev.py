@@ -43,6 +43,7 @@ class MaltsevOp:
     __slots__ = ("q", "table", "_powers")
 
     def __init__(self, q: int, table):
+        _require_int(q, "domain size")
         table = tuple(table)
         if len(table) != q * q * q:
             raise ValueError("table must have q^3 entries")

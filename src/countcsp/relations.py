@@ -32,8 +32,8 @@ RESERVED_CONST_PREFIX = "CONST_"
 _NAME_OK = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 
-def _valid_name(name: str) -> bool:
-    return bool(name) and not name[0].isdigit() and set(name) <= _NAME_OK
+def _valid_name(name) -> bool:
+    return isinstance(name, str) and bool(name) and not name[0].isdigit() and set(name) <= _NAME_OK
 
 
 def _require_int(value, what: str) -> None:

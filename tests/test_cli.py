@@ -214,17 +214,29 @@ def test_count_command(tmp_path, capsys):
     assert cli.main(["count", r, ri, "--force"]) == 0
     assert capsys.readouterr().out == "5\n"
 
+    # R's third column determines the other two, so the forced count keeps
+    # x2 alone and is exact
     rp = _file(tmp_path, "rp", R_PERMUTED)
-    assert cli.main(["count", r, rp, "--force"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    # the pair is named by file variables, 1-based as in the instance file;
-    # the Python API names the same pair (2, 3)
-    assert "count failed: reconstruction failed at pair (3, 4)" in captured.err
+    assert cli.main(["count", r, rp, "--force"]) == 0
+    assert capsys.readouterr().out == "5\n"
 
     o = _file(tmp_path, "o", OR_TEXT)
     oi = _file(tmp_path, "oi", "vars 2\nconstraint OR 1 2\n")
     assert cli.main(["count", o, oi, "--force"]) == 65
+
+
+def test_count_failure_names_file_variables(tmp_path, capsys, monkeypatch):
+    # a quotient without complete blocks fails the stage at positions
+    # (1, 2) of R's frame; x1 is a component of its own, so the pair is
+    # named by file variables, 1-based as in the instance file. The Python
+    # API names the same pair (2, 3).
+    monkeypatch.setattr(counting, "_bipartite_blocks", lambda pairs: None)
+    r = _file(tmp_path, "r", RANK_DEFECT_TEXT)
+    ri = _file(tmp_path, "ri", "vars 4\nconstraint CONST_1 1\nconstraint R 2 3 4\n")
+    assert cli.main(["count", r, ri, "--force"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count failed: reconstruction failed at pair (3, 4)" in captured.err
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -1,10 +1,17 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from countcsp import (
     Instance,
     NotBalancedError,
+    Relation,
     RelationalStructure,
     UnknownRelationError,
     balance_matrix,
@@ -195,10 +202,12 @@ def test_congruences_of_one_xor3_constraint():
 
 
 def test_trace_stages_match_brute_prefix_counts():
+    # every stage, on the uncut frame: count would cut positions 2 and 3,
+    # which positions 0 and 1 determine
     inst = Instance(4, [("XOR3", (0, 1, 2)), ("XOR3", (1, 2, 3))])
     sols = enumerate_solutions(XOR3, inst)
     trace: list = []
-    assert count(XOR3, MIN2, inst, verify=True, trace=trace) == len(sols)
+    assert count_frame(build_frame(XOR3, MIN2, inst), MIN2, verify=True, trace=trace) == len(sols)
     stages = {(s.i, s.j): s for s in trace}
     n = inst.num_vars
     assert set(stages) == {(i, j) for i in range(n - 1) for j in range(i + 1, n)}
@@ -217,6 +226,12 @@ def test_trace_stages_match_brute_prefix_counts():
         assert sum(q.get(r, c) for c in q.col_labels) == prev_row[r]
     for c in q.col_labels:
         assert sum(q.get(r, c) for r in q.row_labels) == prev_col[c]
+    # count's stages are those of the kept positions, and count their
+    # solutions' prefixes
+    kept: list = []
+    assert count(XOR3, MIN2, inst, verify=True, trace=kept) == len(sols)
+    assert [(s.i, s.j, s.variables) for s in kept] == [(0, 1, (0, 1))]
+    assert kept[0].counts.values == helpers.brute_prefix_counts(sols, 0, 1)
 
 
 def test_constraint_order_changes_no_count_trace_or_closure(monkeypatch):
@@ -258,18 +273,28 @@ def _alone(constraints, variables):
 
 def test_components_count_apart():
     inst = Instance(8, [RIGHT[0], LEFT[0], RIGHT[1], LEFT[1]])
-    trace: list = []
-    assert count(XOR3, MIN2, inst, verify=True, trace=trace) == 4 * 2 * 2
+    assert count(XOR3, MIN2, inst, verify=True) == 4 * 2 * 2
     assert oracle_count(XOR3, inst) == 16
-    # components in order of least variable, each traced as if alone
+    # components in order of least variable, each framed and traced as if
+    # alone; count_frame sweeps every position of the uncut frames
+    components = frames._component_frames(XOR3, MIN2, inst)
+    assert [v for v, _ in components] == [(0, 3, 5, 7), (1, 2, 6)]
+    trace: list = []
+    for variables, frame in components:
+        count_frame(frame, MIN2, verify=True, trace=trace, variables=variables)
     alone: list = []
     for constraints, variables in ((LEFT, (0, 3, 5, 7)), (RIGHT, (1, 2, 6))):
         steps: list = []
-        count(XOR3, MIN2, _alone(constraints, variables), trace=steps)
+        count_frame(build_frame(XOR3, MIN2, _alone(constraints, variables)), MIN2, trace=steps)
         alone += [(s, variables) for s in steps]
     assert len(trace) == 6 + 3
     assert helpers.trace_text(trace) == helpers.trace_text([s for s, _ in alone])
     assert [s.variables for s in trace] == [v for _, v in alone]
+    # count keeps x0 and x3 of the left component and x1 of the right one,
+    # which count_frame counts with no stage
+    kept: list = []
+    count(XOR3, MIN2, inst, trace=kept)
+    assert [(s.i, s.j, s.variables) for s in kept] == [(0, 1, (0, 3))]
 
 
 def test_unsat_component_gives_zero_and_no_trace():
@@ -297,16 +322,65 @@ def test_rank_defect_straight_scope_counts():
 def test_rank_defect_permuted_scope_is_caught():
     # R(x3, x4, x2) puts the doubled column first; the quotient at x3, x4
     # has margins 3,2 / 3,2 over one block of total 5, so no integral
-    # reconstruction exists. x1 is a component of its own, so R's frame
-    # has x3, x4 at positions (1, 2), and the error names the variables.
+    # reconstruction exists on the uncut frame. x1 is a component of its
+    # own, so R's frame has x3, x4 at positions (1, 2), and the error names
+    # the variables.
     st = rank_defect_structure()
     phi = find_maltsev(st)
     inst = Instance(4, [("CONST_1", (0,)), ("R", (2, 3, 1))])
     assert oracle_count(st, inst) == 5
+    _, (variables, r_frame) = frames._component_frames(st, phi, inst)
+    assert variables == (1, 2, 3)
     with pytest.raises(NotBalancedError) as exc:
-        count(st, phi, inst)
+        count_frame(r_frame, phi, variables=variables)
     assert "reconstruction failed at pair (2, 3)" in str(exc.value)
     assert exc.value.pair == (2, 3)
+    # R's third column determines the other two, so count keeps x2 alone
+    # and counts its five values exactly
+    assert count(st, phi, inst, verify=True) == 5
+
+
+AFF3 = RelationalStructure(
+    3, {"AFF3": Relation(3, [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0])}
+)
+
+# (structure, instance, arities of the frames count_frame sweeps)
+DETERMINED = [
+    # x0 pinned and x1 equal to it; x2 is free
+    (XOR3, Instance(3, [("CONST_0", (0,)), ("EQ", (0, 1))]), []),
+    # an aff3 block pinned by CONST and EQ, beside one with two free positions
+    (AFF3, Instance(6, [("AFF3", (0, 1, 2)), ("CONST_1", (0,)), ("EQ", (0, 1)),
+                        ("AFF3", (3, 4, 5))]), [2]),
+]
+
+
+@pytest.mark.parametrize("structure,inst,swept", DETERMINED, ids=["const_eq", "aff3_pinned"])
+def test_a_component_with_no_free_position_is_not_swept(monkeypatch, structure, inst, swept):
+    # such a component has one solution; count_frame never sees arity 0
+    arities: list = []
+    original = counting.count_frame
+
+    def recorded(frame, *args, **kwargs):
+        arities.append(frame.arity)
+        return original(frame, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "count_frame", recorded)
+    phi = find_maltsev(structure)
+    trace: list = []
+    assert count(structure, phi, inst, verify=True, trace=trace) == oracle_count(structure, inst)
+    assert arities == swept
+    assert {s.variables for s in trace} <= {(3, 4)}
+
+
+def test_count_names_a_failing_pair_by_instance_variables(monkeypatch):
+    # x1 is a component of its own, and x3 and x5 are cut (x0 and x2
+    # determine x3, x3 and x4 determine x5), so the failing stage at kept
+    # positions (1, 2) is the pair (2, 4)
+    monkeypatch.setattr(counting, "_bipartite_blocks", lambda pairs: None)
+    inst = Instance(6, [("XOR3", (0, 2, 3)), ("CONST_1", (1,)), ("XOR3", (3, 4, 5))])
+    with pytest.raises(NotBalancedError) as exc:
+        count(XOR3, MIN2, inst)
+    assert exc.value.pair == (2, 4)
 
 
 def test_non_rectangular_quotient_is_not_balanced(monkeypatch):
@@ -343,3 +417,34 @@ def test_balance_matrix():
     inst = Instance(3, [("R", (0, 1, 2))])
     m = balance_matrix(rank_defect_structure(), inst, 0, 1)
     assert m.to_lists() == [[2, 1], [1, 1]]
+
+
+def test_repeated_counts_hold_their_peak_rss():
+    # 2,000 counts of the XOR3 chain at n=20 in a child, which reports its
+    # peak RSS in KiB after call 200 and after the last. tuple(<generator>)
+    # on count's path sizes each tuple by resizing, which leaves tuples of
+    # many sizes in CPython's free lists: building _component_frames'
+    # position tuples that way grew the peak by 3.8 MB here.
+    script = textwrap.dedent("""
+        import resource
+        from countcsp import Instance, count, find_maltsev
+        from countcsp.fixtures import xor3_structure
+        st = xor3_structure()
+        phi = find_maltsev(st)
+        inst = Instance(20, [("XOR3", (i, i + 1, i + 2)) for i in range(18)])
+        for k in range(2000):
+            assert count(st, phi, inst) == 4
+            if k == 199:
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_200, last = map(int, proc.stdout.split())
+    assert last - after_200 < 512

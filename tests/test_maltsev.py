@@ -59,6 +59,13 @@ def test_op_rejects_entries_that_are_not_ints():
             MaltsevOp(2, table)
 
 
+@pytest.mark.parametrize("q", [2.0, "2", True])
+def test_op_rejects_a_domain_size_that_is_not_an_int(q):
+    # 2.0 raised a raw TypeError from range, "2" one from q * q * q
+    with pytest.raises(ValueError, match="domain size must be an int"):
+        MaltsevOp(q, minority_table())
+
+
 def test_apply_is_coordinatewise():
     op = MaltsevOp(2, minority_table())
     assert apply(op, (0, 0, 1), (0, 1, 1), (1, 1, 1)) == (1, 0, 1)

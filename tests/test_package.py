@@ -4,8 +4,8 @@ reads sections without pair closures, that constraint names are resolved
 in one place, that count and build_frame share one frame builder, that
 add_constraint builds no frame but the one it shrinks, that one function
 tells an int from a bool, that every function the benchmark's tracer wraps
-exists, that a short traced benchmark run ends in a strict JSON line, and
-the demos running end to end."""
+exists, that short traced benchmark runs end in a strict JSON line with
+every op correct, and the demos running end to end."""
 
 import ast
 import importlib
@@ -221,11 +221,11 @@ def _reject_constant(name):
     raise ValueError("non-finite number %s in the benchmark's JSON line" % name)
 
 
-def test_traced_benchmark_run_ends_in_a_strict_json_line():
-    # the benchmark reads a run's last line as its result: it must parse
-    # without NaN or Infinity, report every op correct and no null metric
+def _traced_run(workload: str) -> dict:
+    """The last stdout line of a short traced benchmark run, parsed after
+    checking that the run exited 0."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "analyze",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "3", "--seconds", "0.5", "--trace", "1"],
         capture_output=True,
         text=True,
@@ -233,11 +233,26 @@ def test_traced_benchmark_run_ends_in_a_strict_json_line():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    return json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+
+
+def test_traced_benchmark_run_ends_in_a_strict_json_line():
+    # the benchmark reads a run's last line as its result: it must parse
+    # without NaN or Infinity, report every op correct and no null metric
+    result = _traced_run("analyze")
     assert result["correct"] is True
     assert result["failed"] == 0 < result["attempted"]
     assert result["metrics"]
     assert [k for k, m in result["metrics"].items() if m["value"] is None] == []
+
+
+def test_traced_random_mix_run_counts_every_op_correctly():
+    # random_mix counts components with no free position, each of which
+    # count must skip rather than sweep as an arity-0 frame: the tracer
+    # fits count_frame's time against the log of its arity
+    result = _traced_run("random_mix")
+    assert result["correct"] is True
+    assert result["failed"] == 0 < result["attempted"]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -246,6 +246,13 @@ def test_structure_rejects_a_domain_size_that_is_not_an_int(q):
         RelationalStructure(q, {"R": Relation(1, [(0,), (1,)])})
 
 
+@pytest.mark.parametrize("name", [5, None, ("R",), b"R"])
+def test_structure_rejects_a_relation_name_that_is_not_a_str(name):
+    # 5 raised a raw TypeError from indexing the name
+    with pytest.raises(ValueError, match="bad relation name"):
+        RelationalStructure(2, {name: Relation(1, [(0,)])})
+
+
 def test_structure_keeps_the_declared_domain():
     # elements 1 and 3 are in no relation and stay in the domain
     st = RelationalStructure(4, {"R": Relation(2, [(0, 2), (2, 0)])})

@@ -56,6 +56,15 @@ move.
 
 No digest moved when add_constraint came to walk and section the frame it
 is given, with no head cut after the scope and no witness rows lifted.
+
+When count came to cut each component's frame to its free positions (those
+where some shared-prefix class holds more than one value), its traces got
+shorter: the trace digest above now pins count_frame's trace of each
+component's uncut frame, which is count's trace before the cut and did not
+move, and a fifth digest pins count's own trace over the kept positions.
+Every diag3 and constants component keeps at most one position, which
+count_frame counts with no stage, so their count traces are all empty. The
+frame dumps, counts and relations did not move.
 """
 
 import hashlib
@@ -66,6 +75,7 @@ import pytest
 
 from countcsp import Instance, build_frame, count, dump, find_maltsev
 from countcsp import counting, frames
+from countcsp.counting import count_frame
 from countcsp.fixtures import (
     constants_structure,
     diagonal_structure,
@@ -81,26 +91,29 @@ BATTERY = {
     "constants": constants_structure(),
 }
 
-# language -> SHA-256 of (the frame dumps, the counts, the count traces,
-# the generated relations)
+# language -> SHA-256 of (the frame dumps, the counts, count_frame's traces
+# of the uncut component frames, the generated relations, count's traces)
 DIGESTS = {
     "xor3": (
         "dd94030b236523cb2cf1e7969d0382d8b7e9c37549f15289f29aca7006e8f854",
         "d2c4bae7ac83fdb8a618f478c4cdf1e07ba2752d3098befb181ffded30804a5f",
         "37edf06ab81a23e069e9045a4d507cc5e35d8f4f6015658b80d880eed0a1fb5d",
         "250647245648b597d4216ce7bd7ead8cb68457e50e8f6dd1afa9f39884e0206f",
+        "8b30647a68000bc4458a3f51d883e9bca77e447f31355cfe694d20d3a1212521",
     ),
     "diag3": (
         "90439f4b1892001903afec173db6df9d30f0b53f83726aa6e09f10ae4c343b5a",
         "ef0ce4de7735847d55613e8b6a188330aa2f64a0c3d280bd1d062542e7ffe4bc",
         "e19eb267e33520da4cfa2237c72daa1ff1d24c9382b0d82aed2bb14a6d8ed2e2",
         "fe3c1e08771b03c6a24e6a0b478a8a45d37b2ebf06b447ec63a44a4aea8791ab",
+        "bf97d87a219d375c6d9865bcadd4a7a3cd57c3b46e87e939e4feb35e7e30892f",
     ),
     "constants": (
         "d245bbc05acde567abc8e4a5a305ed611f0aed313251845352f8760327af911d",
         "dedde3cf7b19ee93934a7e8fe93a762e09733c37055092c0948e68b5f59fb794",
         "6bccc470e874940e53d9228d02214d76ae6ebd9a8792ad3b20344aba5cf35cdc",
         "d7eaa72f5a5b13f7823254cc2cd6d643a6f29c6959c6f65d532243493d51d747",
+        "bf97d87a219d375c6d9865bcadd4a7a3cd57c3b46e87e939e4feb35e7e30892f",
     ),
 }
 
@@ -112,6 +125,7 @@ def battery_digests(structure) -> tuple:
     count_hash = hashlib.sha256()
     trace_hash = hashlib.sha256()
     relation_hash = hashlib.sha256()
+    cut_trace_hash = hashlib.sha256()
     for _ in range(60):
         inst = random_instance(structure, rng, max_vars=8, max_constraints=7)
         frame = build_frame(structure, phi, inst)
@@ -120,8 +134,13 @@ def battery_digests(structure) -> tuple:
         trace: list = []
         c = count(structure, phi, inst, trace=trace)
         count_hash.update(("%d\n" % c).encode())
-        trace_hash.update(helpers.trace_text(trace).encode())
-    return tuple(h.hexdigest() for h in (frame_hash, count_hash, trace_hash, relation_hash))
+        cut_trace_hash.update(helpers.trace_text(trace).encode())
+        uncut: list = []
+        for variables, f in frames._component_frames(structure, phi, inst) or ():
+            count_frame(f, phi, trace=uncut, variables=variables)
+        trace_hash.update(helpers.trace_text(uncut).encode())
+    hashes = (frame_hash, count_hash, trace_hash, relation_hash, cut_trace_hash)
+    return tuple(h.hexdigest() for h in hashes)
 
 
 @pytest.mark.parametrize("name", sorted(BATTERY))
@@ -174,8 +193,11 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # closures into 894 and 110 sections into 56, the ones count_frame
     # pins; each walk reads its frame's values at position 0 (projection)
     # once, on the 18 constraints. Walking the frame itself, with no head
-    # cut after the scope, moved none of these counts.
-    assert calls == {"closure_project": 894, "_fix_first": 56, "projection": 18}
+    # cut after the scope, moved none of these counts. Cutting the frame to
+    # its free positions before counting made 894 closures into 154 and 56
+    # sections into 0: the chain keeps positions 0 and 1, whose one stage
+    # is one pair closure, so the other 153 closures are build_frame's.
+    assert calls == {"closure_project": 154, "_fix_first": 0, "projection": 18}
     # count_frame alone reads both classes off the sections' witness maps,
     # one lookup per class test (the two readings above made 835 closures,
     # 70 sections and 855 projection scans; one section's pair closure 685
