@@ -44,6 +44,7 @@ from .relations import (
     ReconstructionError,
     RelationalStructure,
     _bipartite_blocks,
+    _require_int,
     reconstruct_rank_one,
 )
 
@@ -118,6 +119,8 @@ def congruences(frame: Frame, phi: MaltsevOp, i: int, j: int) -> CongruencePair:
     phi(v, u, s) = p'.x'..y', so x' shares every i-prefix and j-value that
     x has.
     """
+    _require_int(i, "position i")
+    _require_int(j, "position j")
     if not 1 <= i < j <= frame.arity - 1:
         raise ValueError("need 1 <= i < j <= arity-1")
     return _congruences(SectionCache(frame, phi), i, j, _pair_support(frame, phi, i, j))

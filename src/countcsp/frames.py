@@ -7,21 +7,20 @@ that (a) hits every value of every coordinate projection of R, and (b) for
 each position i carries, per class of the "shares a length-i prefix in R"
 equivalence, witness rows with one common prefix. Frames support linear-time
 membership tests and can be rebuilt after conjoining one more constraint,
-which is how an instance is built without ever materializing R. A
-solution set is the product of its connected components' solution sets,
-and the frame of a product is its factors' frames side by side
-(_product). So count and build_frame share one builder,
-_component_frames: a variable is a free coordinate of its own until a
-constraint mentions it, and each constraint is added to the product of
-the components its scope meets and its new variables. The builder chooses
-the order in which constraints are added (fewest distinct variables
-first, then highest variable first), whatever order the instance lists
-them in, so each addition reaches few positions past its scope. An
-addition walks the frame itself only up to its last scope position:
-span's level walk stopped there, capped at q^|J| tuples for a scope J,
-gives the projection onto those positions and its classes, and each
-tuple it keeps is a full row of the conjunction. Only a walk past the cap
-pins sections on the frame and closes the scope inside them.
+which is how an instance is built without ever materializing R.
+
+A solution set is the product of its connected components' solution sets,
+and the frame of a product is its factors' frames side by side (_product),
+so count and build_frame share one builder, _component_frames: a variable
+is a free coordinate until a constraint mentions it, and each constraint is
+added to the product of the components its scope meets and its new
+variables, fewest distinct variables first, then highest variable first,
+whatever order the instance lists them in, so each addition reaches few
+positions past its scope. An addition reads its scope off span's level
+walk of the frame, capped at q^|J| tuples for a scope J, and pins sections
+on the frame only past the cap. Past the scope, as in every section, its
+rows come from one witness walk (_walk), which keeps a frame within
+n(q-1)+1 rows by construction: no frame is shrunk after it is built.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -49,6 +48,7 @@ class Frame:
     __slots__ = ("arity", "rows", "witness", "reach", "_groups")
 
     def __init__(self, arity: int, rows: Iterable[tuple], witness: Mapping):
+        _require_int(arity, "arity")
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         # tuples built from lists, not generators: tuple(<generator>) sizes
@@ -144,7 +144,10 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     An index that is negative or not below the first row's length, or a
     seed value outside range(q) at an index, raises ValueError.
     """
-    idx = tuple(sorted(set(indices)))
+    idx = set(indices)
+    for i in idx:
+        _require_int(i, "projection index")
+    idx = tuple(sorted(idx))
     if not idx:
         raise ValueError("need at least one projection index")
     if not isinstance(rows, (list, tuple)):
@@ -306,9 +309,12 @@ def initial_frame(n: int, q: int) -> Frame:
     """Frame of the full relation D^n: the all-zero row plus one row per
     (position, nonzero value) pair; size n(q-1)+1. It is the product of n
     free coordinates."""
+    _require_int(n, "n")
+    _require_int(q, "q")
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
-    return _product([((p,), _free(q)) for p in range(n)], n)
+    free = _free(q)
+    return _product([((p,), free) for p in range(n)], n)
 
 
 def _lift(frame: Frame, phi: MaltsevOp, prefix: tuple) -> Optional[tuple]:
@@ -355,41 +361,32 @@ def member(frame: Frame, phi: MaltsevOp, t: Sequence[int]) -> bool:
 
 
 def shrink_to_small(frame: Frame, phi: MaltsevOp) -> Frame:
-    """Same generated relation, at most n(q-1)+1 rows.
-
-    Picks the first row f and rebases every witness in f's class at each
-    position onto f's prefix with one phi application; other classes keep
-    their original witnesses.
-    """
+    """Same generated relation, at most n(q-1)+1 rows: the witness walk
+    (_walk) from the frame's first row. No builder calls it, as each one
+    builds its frame by that walk already."""
     if frame.is_empty():
         return frame
-    n = frame.arity
-    if n == 0:
-        return Frame(0, ((),), {})
-    f = frame.rows[0]
-    rows: dict = {f: 0}  # row -> index, in index order
-    witness: dict = {}
-    groups = frame.prefix_groups()
-    for i in range(n):
-        pivot_prefix = frame.witness_row(f[i], i)[:i]
-        for prefix, members in groups[i].items():
-            if prefix == pivot_prefix:
-                for a, row in _swap_in(frame, phi, f, i, sorted(members)).items():
-                    witness[(a, i)] = rows.setdefault(row, len(rows))
-            else:
-                for a in sorted(members):
-                    witness[(a, i)] = rows.setdefault(frame.witness_row(a, i), len(rows))
-    return Frame(n, rows, witness)
+    rows, witness = _walk(frame, phi, {frame.rows[0]: 0}, {}, 0)
+    return Frame(frame.arity, rows, witness)
 
 
-def _walk(frame: Frame, phi: MaltsevOp, rows: dict, witness: dict, start: int):
+def _walk(frame: Frame, phi: MaltsevOp, rows: dict, witness: dict, start: int) -> tuple:
     """Witness every value at positions >= start of a phi-closed part R' of
     the generated relation whose classes there are whole classes of the
     frame. `rows` (a dict used as an ordered set) holds rows of R' that
-    witness it below start, so it generates R' there, and its closure onto
-    the single index i meets every class of R' at i; each closure tuple
-    with an unwitnessed value brings in its frame class by one _swap_in.
-    Newest rows go first, as their prefixes are the ones pinned already."""
+    witness it below start (one row will do at start 0), so its closure
+    onto the single index i meets every class of R' at i; each closure
+    tuple with an unwitnessed value brings in its frame class by one
+    _swap_in. Newest rows go first, as their prefixes are pinned already.
+    Returns rows and witness, both grown in place.
+
+    This keeps every frame small. The first closure tuple at each position
+    is the newest row, whose value _swap_in witnesses by that row itself,
+    and each other value takes at most one new row. add_constraint reuses a
+    row alike up to its scope's last position (the level walk's first kept
+    tuple, or the closure tuple by which the fallback reaches a class). So
+    every frame has at most |proj_0| + sum_{i>=1} (|proj_i| - 1) <= n(q-1)+1
+    rows."""
     groups = frame.prefix_groups()
     for i in range(start, frame.arity):
         for t in closure_project([*reversed(rows)], phi, (i,)):
@@ -401,6 +398,7 @@ def _walk(frame: Frame, phi: MaltsevOp, rows: dict, witness: dict, start: int):
             cls = groups[i][frame.rows[k][:i]]
             for b, u in _swap_in(frame, phi, t, i, cls).items():
                 witness[(b, i)] = rows.setdefault(u, len(rows))
+    return rows, witness
 
 
 def _fix_first(frame: Frame, phi: MaltsevOp, a: int) -> Frame:
@@ -415,10 +413,7 @@ def _fix_first(frame: Frame, phi: MaltsevOp, a: int) -> Frame:
         raise ValueError("nothing to pin in an arity-0 frame")
     if (a, 0) not in frame.witness:
         return empty_frame(n - 1)
-    seed = frame.witness_row(a, 0)
-    rows: dict = {seed: 0}  # row -> index, in index order
-    witness: dict = {}
-    _walk(frame, phi, rows, witness, 1)
+    rows, witness = _walk(frame, phi, {frame.witness_row(a, 0): 0}, {}, 1)
     return Frame(n - 1, (r[1:] for r in rows), {(b, i - 1): k for (b, i), k in witness.items()})
 
 
@@ -483,12 +478,12 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     solution. At each later position, one-index closures of the rows taken
     so far meet every class of the conjunction (see _walk), and each such
     tuple t with an unwitnessed value t[i] has its prefix pinned and
-    harvested, which takes t[i]'s class.
+    harvested, which takes t[i]'s class and witnesses t[i] by t itself.
 
     Past the last scope variable the surviving classes are the frame's own:
     if p.b.. and p.b'.. are in R and p'.b.. satisfies the constraint, so
     does phi(p'.b.., p.b.., p.b'..) = p'.b'... So the rest is _walk,
-    without sections. Then shrinks.
+    without sections, and the frame the walks built is returned as it is.
     """
     n = frame.arity
     relation, scope = collapse_scope(relation, scope)
@@ -516,9 +511,9 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     else:
         sections = SectionCache(frame, phi)
 
-        def harvest(prefix: tuple) -> dict:
+        def harvest(prefix: tuple, t: Optional[tuple] = None) -> dict:
             # the filtered closure inside the section at prefix, onto its
-            # first position and the scope: one row per value at len(prefix)
+            # first position and the scope: a row per value there, t for t[i]
             i = len(prefix)
             found: dict = {}
             Jp = sorted({v - i for v in J if v >= i} | {0})
@@ -526,6 +521,8 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
                 full = prefix + s
                 if s[0] not in found and tuple([full[v] for v in scope]) in relation:
                     found[s[0]] = full
+            if t is not None and t[i] in found:
+                found[t[i]] = t
             for a in sorted(found):
                 witness[(a, i)] = rows.setdefault(found[a], len(rows))
             return found
@@ -534,10 +531,10 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
             return empty_frame(n)
         for i in range(1, last + 1):
             for t in closure_project([*reversed(rows)], phi, (i,)):
-                if (t[i], i) not in witness and t[i] not in harvest(t[:i]):
+                if (t[i], i) not in witness and t[i] not in harvest(t[:i], t):
                     raise ValueError("inputs violate the frame invariants")
     _walk(frame, phi, rows, witness, last + 1)
-    return shrink_to_small(Frame(n, rows, witness), phi)
+    return Frame(n, rows, witness)
 
 
 def _component_frames(structure, phi: MaltsevOp, instance: Instance) -> Optional[list]:
@@ -566,6 +563,7 @@ def _component_frames(structure, phi: MaltsevOp, instance: Instance) -> Optional
         structure.resolve(instance.constraints),
         key=lambda c: (len(set(c[1])), -max(c[1])),
     )
+    free = _free(q)  # frames are never mutated: one serves every new variable
     of: dict = {}  # variable -> (variables, frame) of its component
     for relation, scope in constraints:
         met = sorted({id(of[v]): of[v] for v in scope if v in of}.values())
@@ -573,7 +571,7 @@ def _component_frames(structure, phi: MaltsevOp, instance: Instance) -> Optional
         variables = tuple(sorted({v for vs, _ in met for v in vs}.union(new)))
         pos = {v: k for k, v in enumerate(variables)}
         parts = [(tuple([pos[v] for v in vs]), g) for vs, g in met]
-        f = _product(parts + [((pos[v],), _free(q)) for v in new], len(variables))
+        f = _product(parts + [((pos[v],), free) for v in new], len(variables))
         f = add_constraint(f, phi, relation, tuple([pos[v] for v in scope]))
         if f.is_empty():
             return None
@@ -594,7 +592,8 @@ def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
     if components is None:
         return empty_frame(n)
     mentioned = {v for variables, _ in components for v in variables}
-    return _product(components + [((v,), _free(phi.q)) for v in range(n) if v not in mentioned], n)
+    free = _free(phi.q)
+    return _product(components + [((v,), free) for v in range(n) if v not in mentioned], n)
 
 
 def dump(frame: Frame) -> str:

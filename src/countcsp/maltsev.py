@@ -165,8 +165,14 @@ def apply(op: MaltsevOp, t1, t2, t3) -> tuple:
 
 
 def preserves(op: MaltsevOp, relation: Relation) -> bool:
-    """Whether every coordinatewise image of a triple of tuples stays inside."""
+    """Whether every coordinatewise image of a triple of tuples stays inside.
+    A relation with a value outside the operation's domain raises ValueError."""
     tuples = relation.tuples
+    reach = max([max(t) for t in tuples], default=-1) + 1
+    if reach > op.q:
+        raise ValueError(
+            "operation is over %d elements, the relation over at least %d" % (op.q, reach)
+        )
     for t1 in tuples:
         for t2 in tuples:
             for t3 in tuples:

@@ -49,6 +49,7 @@ class Relation:
     __slots__ = ("arity", "tuples", "_set")
 
     def __init__(self, arity: int, tuples: Iterable[Sequence[int]]):
+        _require_int(arity, "relation arity")
         if arity < 1:
             raise ValueError("relation arity must be positive")
         seen = set()

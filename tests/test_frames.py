@@ -17,6 +17,7 @@ from countcsp import (
     build_frame,
     closure_project,
     collapse_scope,
+    congruences,
     count,
     count_frame,
     dump,
@@ -69,6 +70,30 @@ def test_span_and_position_classes_raise_typed_errors():
     for i in (-1, 2):
         with pytest.raises(ValueError, match="position out of range"):
             f.position_classes(i)
+
+
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda: Relation(2.0, [(0, 1)]), "relation arity"),
+        (lambda: Relation(True, [(0,)]), "relation arity"),
+        (lambda: Relation("2", [(0, 1)]), "relation arity"),
+        (lambda: Frame("2", [], {}), "arity"),
+        (lambda: Frame(2.0, [], {}), "arity"),
+        (lambda: Frame(True, [(0,)], {}), "arity"),
+        (lambda: initial_frame(3.0, 2), "n"),
+        (lambda: initial_frame(3, True), "q"),
+        (lambda: closure_project([(0, 1)], MIN2, (0.5,)), "projection index"),
+        (lambda: closure_project([(0, 1)], MIN2, ("1", 0)), "projection index"),
+        (lambda: congruences(initial_frame(4, 2), MIN2, 1.0, 2), "position i"),
+        (lambda: congruences(initial_frame(4, 2), MIN2, 1, "3"), "position j"),
+    ],
+)
+def test_arities_sizes_and_positions_must_be_ints(make, what):
+    # a float, a bool or a str where an int belongs is a ValueError naming
+    # the argument, never a raw TypeError or a silently accepted value
+    with pytest.raises(ValueError, match="^%s must be an int" % what):
+        make()
 
 
 def test_add_constraint_and_sections_reject_a_malformed_frame():
@@ -380,12 +405,15 @@ def test_random_q7_draws_close_no_three_indices(monkeypatch):
                 assert f.is_empty()
 
 
-# sha256 of the XOR3 chain's frame dump at n = 10, 20, 40, recorded before
-# connected components were built apart: one component, so no frame moved
+# sha256 of the XOR3 chain's frame dump at n = 10, 20, 40. Building
+# connected components apart moved none (one component). They were
+# re-recorded when add_constraint came to return the frame its witness walks
+# built instead of re-basing it (shrink_to_small): still 3 rows each, other
+# rows and witnesses, the same generated relation.
 CHAIN_DUMPS = {
-    10: "4e39ce2be27d06a1aedc7765567a7711d19331712495a145ddee87deeb6a124c",
-    20: "899410bb7a4a421fe5380eb5c7df2a971d33c0f70435c4aa2447214a91fb61c4",
-    40: "c60df6781f4d294461ae071a0700c8fc9c32f613f6750d3688d15fc3ad8b8f21",
+    10: "92bec0446a4e2a8de1c4e52356154f0b00bb0c547ce2ee2a7ca55b00670fd29a",
+    20: "cfe76b2b3859abb789c5e90389d45fb9db14540245939262ee9734fcab6bbdd0",
+    40: "9758ddd0087ce6bb815e0437df0a215842a73ab425b9549e7dea9089533d75ea",
 }
 
 

@@ -155,6 +155,14 @@ def test_preserves_counterexample():
     assert not preserves(op, or_structure().relation("OR"))
 
 
+def test_preserves_rejects_a_relation_over_more_elements():
+    # a value the operation's table cannot index is named with both sizes
+    op = find_maltsev(xor3_structure())
+    with pytest.raises(ValueError, match="over 2 elements, the relation over at least 6"):
+        preserves(op, Relation(1, [(5,)]))
+    assert preserves(op, Relation(1, [(1,)]))
+
+
 def _affine3(k):
     rows = [t for t in itertools.product(range(3), repeat=k) if sum(t) % 3 == 0]
     return RelationalStructure(3, {"AFF": Relation(k, rows)})

@@ -2,7 +2,7 @@
 modules, unused imports, where the byte-table cap is read, that counting
 reads sections without pair closures, that constraint names are resolved
 in one place, that count and build_frame share one frame builder, that
-add_constraint builds no frame but the one it shrinks, that one function
+every frame is built by one witness walk, that one function
 tells an int from a bool, that every function the benchmark's tracer wraps
 exists, that short traced benchmark runs end in a strict JSON line with
 every op correct, and the demos running end to end."""
@@ -179,17 +179,26 @@ def test_count_and_decide_share_one_frame_builder():
     assert "bisect" not in modules
 
 
-def test_add_constraint_builds_no_frame_but_the_one_it_shrinks():
+def test_every_frame_is_built_by_one_witness_walk():
     # a constraint is read off the frame it is given, with no cut copy of
-    # it: the witness walk serves membership alone, and the one Frame built
-    # is the argument of shrink_to_small
+    # it, and the frame its walks built is the one returned, not re-based:
+    # shrink_to_small is that same walk from the first row, and no builder
+    # calls it
     assert _callers("_lift") == ["frames.member"]
-    tree = _tree("frames")
-    fn = next(n for n in tree.body if getattr(n, "name", None) == "add_constraint")
-    calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
-    built = [c for c in calls if getattr(c.func, "id", None) == "Frame"]
-    shrunk = [c.args[0] for c in calls if getattr(c.func, "id", None) == "shrink_to_small"]
-    assert len(built) == 1 and built == shrunk
+    assert _callers("shrink_to_small") == []
+    functions = {n.name: n for n in _tree("frames").body if isinstance(n, ast.FunctionDef)}
+
+    def called(fn) -> list:
+        return [c for c in ast.walk(fn) if isinstance(c, ast.Call)]
+
+    fn = functions["add_constraint"]
+    built = [c for c in called(fn) if getattr(c.func, "id", None) == "Frame"]
+    returned = [r.value for r in ast.walk(fn) if isinstance(r, ast.Return)]
+    assert len(built) == 1 and built[0] in returned
+    shrink = functions["shrink_to_small"]
+    names = {getattr(c.func, "id", None) or getattr(c.func, "attr", None) for c in called(shrink)}
+    assert "_walk" in names and not {"_swap_in", "prefix_groups"} & names
+    assert not [n for n in ast.walk(shrink) if isinstance(n, (ast.For, ast.comprehension))]
 
 
 def _tests_for_bool(call: ast.Call) -> bool:
@@ -253,6 +262,11 @@ def test_traced_random_mix_run_counts_every_op_correctly():
     result = _traced_run("random_mix")
     assert result["correct"] is True
     assert result["failed"] == 0 < result["attempted"]
+    # every frame add_constraint returns is within n(q-1)+1 rows, and no
+    # builder re-bases a frame through shrink_to_small
+    metrics = result["metrics"]
+    assert 0 < metrics["frames.frame_rows_fill"]["value"] <= 1
+    assert metrics["frames.shrink_to_small.calls"]["value"] == 0
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -473,6 +473,7 @@ def test_add_constraint_keeps_the_tuples_that_satisfy_it(k, seed, data):
     scope = data.draw(st.lists(positions, min_size=relation.arity, max_size=relation.arity))
     assume(len(set(scope)) <= max(scope))
     got = add_constraint(frame, phi, relation, scope)
+    assert len(got.rows) <= frame.arity * (structure.domain_size - 1) + 1
     want = [t for t in span(frame, phi) if tuple(t[v] for v in scope) in relation]
     if want:
         assert span(got, phi) == Relation(frame.arity, want)
