@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .maltsev import MaltsevOp, apply, encode
+from .maltsev import MaltsevOp, apply
 from .relations import Instance, Partition, Relation, _require_int, collapse_scope
 
 
@@ -129,20 +129,21 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     given positions; returns full tuples, one per projection value reached.
 
     Coordinatewise application commutes with projection, so the loop runs on
-    the projected tuples and applies phi to a full carrier only when a new
-    projection appears. Seeds are deduplicated on the projection (first one
-    kept), and the loop stops early once all q^|indices| projections exist.
-    The projection of the result equals the projection of the full closure.
+    the projected tuples, reading phi digit by digit off phi.table, and
+    applies phi to a full carrier only when a new projection appears. Seeds
+    are deduplicated on the projection (first one kept), and the loop stops
+    early once all q^|indices| projections exist. The projection of the
+    result equals the projection of the full closure.
 
-    Projections are packed into base-q codes (maltsev.encode), and phi on
-    them is one lookup in phi.power_table(|indices|). Triples of found codes
-    are tried in a fixed order: for each newest index j1 = 1, 2, ... and
-    each j2 < j1, every j3 < j2 in all six arrangements of (j1, j2, j3),
-    then (j2, j1, j2); after the j2 loop, every (j1, j3, j1) with j3 < j1.
-    An arrangement whose middle index repeats an outer one is skipped:
-    phi(x, x, y) = y and phi(y, x, x) = y find nothing new.
-    An index that is negative or not below the first row's length, or a
-    seed value outside range(q) at an index, raises ValueError.
+    Triples of found projections are tried in a fixed order: for each newest
+    index j1 = 1, 2, ... and each j2 < j1, every j3 < j2 in all six
+    arrangements of (j1, j2, j3), then (j2, j1, j2); after the j2 loop,
+    every (j1, j3, j1) with j3 < j1. An arrangement whose middle index
+    repeats an outer one is skipped: phi(x, x, y) = y and phi(y, x, x) = y
+    find nothing new.
+    An index that is negative or not below the first row's length, a seed
+    of another length than the first, or a seed value outside range(q) at
+    an index, raises ValueError.
     """
     idx = set(indices)
     for i in idx:
@@ -152,65 +153,56 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
         raise ValueError("need at least one projection index")
     if not isinstance(rows, (list, tuple)):
         rows = list(rows)
-    if idx[0] < 0 or (rows and idx[-1] >= len(rows[0])):
+    n = len(rows[0]) if rows else 0
+    if idx[0] < 0 or (rows and idx[-1] >= n):
         raise ValueError("projection indices %r out of range" % (idx,))
-    table = phi.power_table(len(idx))
+    table = phi.table
     q = phi.q
     Q = q ** len(idx)
     domain = frozenset(range(q))
     full: list = []
-    codes: list = []
+    proj: list = []
     seen: set = set()
     for t in rows:
-        digits = [t[i] for i in idx]
-        if not domain.issuperset(digits):
+        if len(t) != n:
+            raise ValueError("seed %r does not have length %d" % (t, n))
+        p = tuple([t[i] for i in idx])
+        if not domain.issuperset(p):
             raise ValueError("seed %r has a value outside range(%d) at %r" % (t, q, idx))
-        c = encode(digits, q)
-        if c not in seen:
-            seen.add(c)
+        if p not in seen:
+            seen.add(p)
             full.append(tuple(t))
-            codes.append(c)
-            if len(codes) == Q:
+            proj.append(p)
+            if len(proj) == Q:
                 return full
 
-    def grow(u: int, k1: int, k2: int, k3: int) -> bool:
+    def grow(k1: int, k2: int, k3: int) -> bool:
+        u = tuple([table[(x * q + y) * q + z] for x, y, z in zip(proj[k1], proj[k2], proj[k3])])
+        if u in seen:
+            return False
         seen.add(u)
         full.append(apply(phi, full[k1], full[k2], full[k3]))
-        codes.append(u)
-        return len(codes) == Q
+        proj.append(u)
+        return len(proj) == Q
 
-    # the docstring's order; the loop also reaches the codes it appends
+    # the docstring's order; the loop also reaches the projections it appends
     j1 = 1
-    while j1 < len(codes):
-        x1 = codes[j1]
+    while j1 < len(proj):
         for j2 in range(j1):
-            x2 = codes[j2]
             for j3 in range(j2):
-                x3 = codes[j3]
-                u = table[(x1 * Q + x2) * Q + x3]
-                if u not in seen and grow(u, j1, j2, j3):
+                if (
+                    grow(j1, j2, j3)
+                    or grow(j1, j3, j2)
+                    or grow(j2, j1, j3)
+                    or grow(j2, j3, j1)
+                    or grow(j3, j1, j2)
+                    or grow(j3, j2, j1)
+                ):
                     return full
-                u = table[(x1 * Q + x3) * Q + x2]
-                if u not in seen and grow(u, j1, j3, j2):
-                    return full
-                u = table[(x2 * Q + x1) * Q + x3]
-                if u not in seen and grow(u, j2, j1, j3):
-                    return full
-                u = table[(x2 * Q + x3) * Q + x1]
-                if u not in seen and grow(u, j2, j3, j1):
-                    return full
-                u = table[(x3 * Q + x1) * Q + x2]
-                if u not in seen and grow(u, j3, j1, j2):
-                    return full
-                u = table[(x3 * Q + x2) * Q + x1]
-                if u not in seen and grow(u, j3, j2, j1):
-                    return full
-            u = table[(x2 * Q + x1) * Q + x2]
-            if u not in seen and grow(u, j2, j1, j2):
+            if grow(j2, j1, j2):
                 return full
         for j3 in range(j1):
-            u = table[(x1 * Q + codes[j3]) * Q + x1]
-            if u not in seen and grow(u, j1, j3, j1):
+            if grow(j1, j3, j1):
                 return full
         j1 += 1
     return full

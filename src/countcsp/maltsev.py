@@ -19,11 +19,6 @@ from typing import Iterable
 
 from .relations import Relation, RelationalStructure, _require_int
 
-# Largest code space q**k that power_table serves from a byte table: a table
-# holds Q**3 bytes (531,441 at the cap) and every code fits in one byte.
-# Wider code spaces are served chunk by chunk from the widest byte table.
-POWER_TABLE_MAX_CODES = 81
-
 
 def encode(digits: Iterable[int], q: int) -> int:
     """Pack a digit string into one integer, base q, most significant first."""
@@ -34,13 +29,11 @@ def encode(digits: Iterable[int], q: int) -> int:
 
 
 class MaltsevOp:
-    """Ternary operation on {0..q-1} stored as a flat table of length q^3.
+    """Ternary operation on {0..q-1} stored as a flat table of length q^3,
+    indexed by argument code (a*q + b)*q + c. Every caller that applies it
+    to tuples, closures included, reads this one table digit by digit."""
 
-    power_table(k) extends it to k-digit codes; the tables are built on
-    first use and cached on the operation.
-    """
-
-    __slots__ = ("q", "table", "_powers")
+    __slots__ = ("q", "table")
 
     def __init__(self, q: int, table):
         _require_int(q, "domain size")
@@ -56,53 +49,13 @@ class MaltsevOp:
                 raise ValueError("table violates the Mal'tsev identities")
         self.q = q
         self.table = table
-        self._powers: dict = {0: bytearray(1)}
 
     def __call__(self, a: int, b: int, c: int) -> int:
-        return self.table[(a * self.q + b) * self.q + c]
-
-    def power_table(self, k: int) -> bytearray | _WideTable:
-        """The operation acting coordinatewise on k-digit codes (see encode).
-
-        Entry (a*Q + b)*Q + c of the returned table, Q = q**k, is the code
-        of the image of the digit strings coded a, b and c. Up to
-        POWER_TABLE_MAX_CODES codes it is a bytearray; above, a _WideTable
-        indexed the same way. Either is built on first use, shared by every
-        caller and must not be modified.
-        """
-        t = self._powers.get(k)
-        if t is not None:
-            return t
-        if k < 0:
-            raise ValueError("power must be nonnegative")
+        """phi(a, b, c); an argument outside range(q) raises ValueError."""
         q = self.q
-        if q**k > POWER_TABLE_MAX_CODES:
-            t = self._powers[k] = _WideTable(self, q**k)
-            return t
-        # Split each code into its leading digit and a (k-1)-digit rest. For
-        # fixed a and b the row over c is q blocks, one per leading digit c0
-        # of c: the rest table's row for (a_rest, b_rest) with every code
-        # shifted by phi(a0, b0, c0) * P. Codes stay below 81, so a byte
-        # translation does the shift.
-        sub = self.power_table(k - 1)
-        P = q ** (k - 1)
-        Q = P * q
-        shifts = [bytes((x + d * P) & 0xFF for x in range(256)) for d in range(q)]
-        shifted = [
-            [sub[r * P:(r + 1) * P].translate(s) for s in shifts] for r in range(P * P)
-        ]
-        t = bytearray(Q * Q * Q)
-        pos = 0
-        for a0 in range(q):
-            for ar in range(P):
-                for b0 in range(q):
-                    images = self.table[(a0 * q + b0) * q:(a0 * q + b0 + 1) * q]
-                    for rows in shifted[ar * P:(ar + 1) * P]:
-                        for d in images:
-                            t[pos:pos + P] = rows[d]
-                            pos += P
-        self._powers[k] = t
-        return t
+        if 0 <= a < q and 0 <= b < q and 0 <= c < q:
+            return self.table[(a * q + b) * q + c]
+        raise ValueError("arguments are in range(%d), got %r" % (q, (a, b, c)))
 
     def __eq__(self, other):
         return isinstance(other, MaltsevOp) and self.q == other.q and self.table == other.table
@@ -112,43 +65,6 @@ class MaltsevOp:
 
     def __repr__(self):
         return "MaltsevOp(q=%d)" % self.q
-
-
-class _WideTable:
-    """power_table(k) above POWER_TABLE_MAX_CODES codes: the same indexing,
-    phi applied chunk by chunk. Each code splits into base-B chunks, B the
-    code space of the widest byte table (or q, through op.table, when q
-    itself exceeds the cap), and each triple of chunks is one lookup there.
-    Chunks are taken from the least significant end until all three codes
-    run out; the leading zero chunks left need no lookup because
-    phi(0, 0, 0) = 0."""
-
-    __slots__ = ("Q", "B", "table")
-
-    def __init__(self, op: MaltsevOp, Q: int):
-        q = op.q
-        if q > POWER_TABLE_MAX_CODES:
-            self.B, self.table = q, op.table
-        else:
-            k = 1
-            while q ** (k + 1) <= POWER_TABLE_MAX_CODES:
-                k += 1
-            self.B, self.table = q**k, op.power_table(k)
-        self.Q = Q
-
-    def __getitem__(self, key: int) -> int:
-        B, table = self.B, self.table
-        a, c = divmod(key, self.Q)
-        a, b = divmod(a, self.Q)
-        out = 0
-        scale = 1
-        while a or b or c:
-            a, x = divmod(a, B)
-            b, y = divmod(b, B)
-            c, z = divmod(c, B)
-            out += table[(x * B + y) * B + z] * scale
-            scale *= B
-        return out
 
 
 def free_entries(q: int):

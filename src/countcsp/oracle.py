@@ -79,6 +79,8 @@ def oracle_balance(relation: Relation, split: Sequence[int]) -> CountMatrix:
     values equal x and next values equal y, with the trailing group summed
     out. Labels are value tuples."""
     left, middle, rest = split
+    for part in (left, middle, rest):
+        _require_int(part, "split size")
     if left < 1 or middle < 1 or rest < 0 or left + middle + rest != relation.arity:
         raise ValueError("split %r does not fit arity %d" % (tuple(split), relation.arity))
     entries: dict = {}
@@ -94,6 +96,7 @@ def oracle_congruence(relation: Relation, i: int) -> Partition:
     """Partition of the position-i values of a relation by "some two tuples
     with equal length-i prefixes take these values at i", closed
     transitively."""
+    _require_int(i, "position")
     if not 0 <= i < relation.arity:
         raise ValueError("position out of range")
     groups: dict = {}
@@ -107,6 +110,8 @@ def oracle_congruence_pair(relation: Relation, i: int, j: int) -> CongruencePair
     set: forward groups position-j values under equal length-(i+1) prefixes,
     backward groups position-i values under equal length-i prefix plus equal
     position-j value."""
+    _require_int(i, "position i")
+    _require_int(j, "position j")
     if not 0 <= i < j < relation.arity:
         raise ValueError("need 0 <= i < j < arity")
     fwd: dict = {}

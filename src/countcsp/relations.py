@@ -99,6 +99,7 @@ def project(relation: Relation, indices: Sequence[int]) -> Relation:
     if not idx:
         raise ValueError("projection needs at least one index")
     for i in idx:
+        _require_int(i, "projection index")
         if not 0 <= i < relation.arity:
             raise ValueError("index %d out of range for arity %d" % (i, relation.arity))
     return Relation(len(idx), {tuple(t[i] for i in idx) for t in relation.tuples})
@@ -174,6 +175,7 @@ def is_rectangular(relation: Relation, left_arity: int = 1) -> bool:
 
     Equivalent to: (a,c), (a,d), (b,c) present implies (b,d) present.
     """
+    _require_int(left_arity, "left arity")
     if not 1 <= left_arity < relation.arity:
         raise ValueError("split must leave both sides nonempty")
     pairs = ((t[:left_arity], t[left_arity:]) for t in relation.tuples)
@@ -231,6 +233,8 @@ class CountMatrix:
 def pair_matrix(relation: Relation, i: int, j: int) -> CountMatrix:
     """Count matrix M(x, y) = number of tuples with value x at position i
     and y at position j."""
+    _require_int(i, "position i")
+    _require_int(j, "position j")
     if not 0 <= i < relation.arity or not 0 <= j < relation.arity or i == j:
         raise ValueError("positions must be distinct and in range")
     entries = Counter((t[i], t[j]) for t in relation)
@@ -450,6 +454,8 @@ class RelationalStructure:
 
     def relation(self, name: str) -> Relation:
         """Resolve a name, including the built-ins EQ and CONST_<a>."""
+        if not isinstance(name, str):
+            raise UnknownRelationError(name)
         if name == RESERVED_EQ:
             return self._eq
         if name.startswith(RESERVED_CONST_PREFIX):
@@ -500,6 +506,8 @@ class Instance:
             raise ValueError("variable count must be nonnegative, got %d" % num_vars)
         cons = []
         for name, scope in constraints:
+            if not isinstance(scope, Iterable):
+                raise ValueError("scope %r is not a sequence of variables" % (scope,))
             scope = tuple(scope)
             if not scope:
                 raise ValueError("empty scope")

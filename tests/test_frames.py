@@ -37,7 +37,6 @@ from countcsp.fixtures import (
     rank_defect_structure,
     xor3_structure,
 )
-from countcsp.maltsev import POWER_TABLE_MAX_CODES
 from helpers import (
     _closure_tuples,
     brute_solutions,
@@ -115,10 +114,10 @@ def test_add_constraint_and_sections_reject_a_malformed_frame():
 
 
 def test_closure_project_matches_naive_fixpoint():
-    # Arity up to 6 reaches projections too wide for a byte table (q=3,
-    # five or more indices). The reference closes the projected rows, which
-    # is the projection of the closure since phi acts coordinatewise; the
-    # cubic fixpoint on whole 6-ary rows takes tens of seconds.
+    # Arity up to 6 reaches projections onto up to six positions (729 at
+    # q=3). The reference closes the projected rows, which is the
+    # projection of the closure since phi acts coordinatewise; the cubic
+    # fixpoint on whole 6-ary rows takes tens of seconds.
     rng = random.Random(11)
     for _ in range(40):
         op = MIN2 if rng.random() < 0.5 else OP3
@@ -137,12 +136,16 @@ def _affine_op(q: int) -> MaltsevOp:
     return MaltsevOp(q, [(x - y + z) % q for x in range(q) for y in range(q) for z in range(q)])
 
 
-def test_closure_project_packed_path_matches_tuple_loop():
-    # About a third of the cases have more codes than a byte table (q=3 at
+# Projection spaces wider than this get at most two seed rows below.
+WIDE = 81
+
+
+def test_closure_project_matches_tuple_loop():
+    # About a third of the cases have more than WIDE projections (q=3 at
     # five indices, q=7 at three, q=10 at two, q=83 at one). A closure's
     # time is cubic in its size, so those get at most two seed rows; two
-    # distinct seeds under x - y + z mod 83 still span a line of 83 codes,
-    # so that operation gets a dozen cases of arity at most 3.
+    # distinct seeds under x - y + z mod 83 still span a line of 83
+    # projections, so that operation gets a dozen cases of arity at most 3.
     rng = random.Random(5)
     rd7 = find_maltsev(rank_defect_structure())
     aff10 = _affine_op(10)
@@ -150,10 +153,10 @@ def test_closure_project_packed_path_matches_tuple_loop():
     cases += [_affine_op(83)] * 12
     for op in cases:
         q = op.q
-        arity = rng.randint(1, 3 if q > 81 else 7)
+        arity = rng.randint(1, 3 if q > WIDE else 7)
         idx = rng.sample(range(arity), rng.randint(1, arity))
         idx.append(rng.choice(idx))
-        wide = q ** len(set(idx)) > POWER_TABLE_MAX_CODES
+        wide = q ** len(set(idx)) > WIDE
         rows = [
             tuple(rng.randrange(q) for _ in range(arity))
             for _ in range(rng.randint(1, 2 if wide else 12))
@@ -170,11 +173,15 @@ def test_closure_project_rejects_indices_outside_the_rows():
     with pytest.raises(ValueError):
         closure_project(iter(rows), MIN2, (3,))
     assert closure_project(iter(rows), MIN2, (2,)) == [(0, 0, 0)]
+    # a seed shorter than the first: index (0,) returned both rows, index
+    # (1,) raised a raw IndexError
+    for idx in ((0,), (1,)):
+        with pytest.raises(ValueError, match="does not have length 2"):
+            closure_project([(0, 1), (1,)], MIN2, idx)
 
 
 def test_closure_project_rejects_seeds_outside_the_domain():
-    # (0, 3) and (1, 1) both pack to code 3 at q = 2, so the real seed
-    # (1, 1) was dropped as a duplicate of (0, 3)
+    # a value outside range(q) would read another entry of phi's table
     for rows in ([(0, 3), (1, 1)], [(1, 1), (0, 3)], [(0, 0), (-1, 1)]):
         with pytest.raises(ValueError, match=r"outside range\(2\)"):
             closure_project(rows, MIN2, (0, 1))

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import os
-import random
 import subprocess
 import sys
 import textwrap
@@ -27,7 +26,7 @@ from countcsp.fixtures import (
     rank_defect_structure,
     xor3_structure,
 )
-from countcsp.maltsev import POWER_TABLE_MAX_CODES, encode
+from countcsp.maltsev import encode
 
 
 def minority_table():
@@ -50,6 +49,15 @@ def test_op_validates_identities():
         MaltsevOp(2, tuple(bad))
     with pytest.raises(ValueError):
         MaltsevOp(2, minority_table()[:-1])
+
+
+@pytest.mark.parametrize("args", [(0, 0, 5), (0, 1, -1), (2, 0, 0)])
+def test_op_rejects_arguments_outside_the_domain(args):
+    # (0, 0, 5) and (0, 1, -1) read other table entries, (2, 0, 0) raised
+    # a raw IndexError
+    op = MaltsevOp(2, minority_table())
+    with pytest.raises(ValueError, match=r"^arguments are in range\(2\)"):
+        op(*args)
 
 
 def test_op_rejects_entries_that_are_not_ints():
@@ -75,30 +83,6 @@ def test_encode_is_big_endian_base_q():
     assert encode((), 3) == 0
     assert encode((1, 0, 2), 3) == 11
     assert encode([1, 1, 0, 1], 2) == 13
-
-
-def test_power_table_matches_coordinatewise_apply():
-    for op, kmax in ((MaltsevOp(2, minority_table()), 6), (find_maltsev(diagonal_structure()), 4)):
-        q = op.q
-        for k in range(1, kmax + 1):
-            table = op.power_table(k)
-            words = list(itertools.product(range(q), repeat=k))
-            want = bytes(
-                encode(apply(op, a, b, c), q) for a in words for b in words for c in words
-            )
-            assert table == want
-            assert op.power_table(k) is table
-        # past the byte tables: the same indexing, checked on random triples
-        assert q ** (kmax + 1) > POWER_TABLE_MAX_CODES
-        rng = random.Random(q)
-        for k in (kmax + 1, kmax + 2):
-            table = op.power_table(k)
-            Q = q**k
-            for _ in range(200):
-                a, b, c = ([rng.randrange(q) for _ in range(k)] for _ in range(3))
-                key = (encode(a, q) * Q + encode(b, q)) * Q + encode(c, q)
-                assert table[key] == encode(apply(op, a, b, c), q)
-            assert op.power_table(k) is table
 
 
 def test_xor3_gets_minority():

@@ -1,8 +1,8 @@
 """Package-level checks: the public name list, the import layering between
-modules, unused imports, where the byte-table cap is read, that counting
-reads sections without pair closures, that constraint names are resolved
-in one place, that count and build_frame share one frame builder, that
-every frame is built by one witness walk, that one function
+modules, unused imports, that phi is applied through its own table alone,
+that counting reads sections without pair closures, that constraint names
+are resolved in one place, that count and build_frame share one frame
+builder, that every frame is built by one witness walk, that one function
 tells an int from a bool, that every function the benchmark's tracer wraps
 exists, that short traced benchmark runs end in a strict JSON line with
 every op correct, and the demos running end to end."""
@@ -63,18 +63,14 @@ def test_the_oracle_depends_on_relations_only():
     assert not PASSTHROUGH & used
 
 
-def test_only_maltsev_names_the_byte_table_cap():
-    # how phi acts on packed codes of any width is decided in maltsev alone
-    for module in MODULES:
-        names: set = set()
-        for node in ast.walk(_tree(module)):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(a.name for a in node.names)
-        assert ("POWER_TABLE_MAX_CODES" in names) == (module == "maltsev"), module
+def test_phi_has_one_table_and_closures_read_it():
+    # no power tables on packed codes: closure_project applies phi digit by
+    # digit through phi.table
+    assert not hasattr(countcsp.MaltsevOp, "power_table")
+    defined = {n.id for n in ast.walk(_tree("maltsev")) if isinstance(n, ast.Name)}
+    defined |= {n.name for n in ast.walk(_tree("maltsev")) if isinstance(n, ast.ClassDef)}
+    assert not {"_WideTable", "POWER_TABLE_MAX_CODES"} & defined
+    assert "encode" not in _package_imports("frames").get("maltsev", set())
 
 
 def _unused_imports(module: str) -> set:

@@ -5,6 +5,7 @@ import pytest
 from countcsp import (
     BlockDecomposition,
     CountMatrix,
+    Instance,
     Partition,
     ReconstructionError,
     Relation,
@@ -13,6 +14,10 @@ from countcsp import (
     block_decompose,
     is_rank_one_block,
     is_rectangular,
+    oracle_balance,
+    oracle_congruence,
+    oracle_congruence_pair,
+    pair_matrix,
     partition_from_groups,
     project,
     rank_one_identity_holds,
@@ -251,6 +256,38 @@ def test_structure_rejects_a_relation_name_that_is_not_a_str(name):
     # 5 raised a raw TypeError from indexing the name
     with pytest.raises(ValueError, match="bad relation name"):
         RelationalStructure(2, {name: Relation(1, [(0,)])})
+
+
+R3 = Relation(3, [(0, 1, 0), (1, 0, 1), (1, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (lambda: pair_matrix(R3, "0", 1), ValueError, "^position i must be an int"),
+        (lambda: pair_matrix(R3, True, 0), ValueError, "^position i must be an int"),
+        (lambda: pair_matrix(R3, 0, 1.0), ValueError, "^position j must be an int"),
+        (lambda: project(R3, ("0",)), ValueError, "^projection index must be an int"),
+        (lambda: project(R3, (True,)), ValueError, "^projection index must be an int"),
+        (lambda: is_rectangular(R3, "1"), ValueError, "^left arity must be an int"),
+        (lambda: oracle_congruence(R3, "1"), ValueError, "^position must be an int"),
+        (lambda: oracle_congruence_pair(R3, 0.0, 1), ValueError, "^position i must be an int"),
+        (lambda: oracle_balance(R3, (1.0, 1, 1)), ValueError, "^split size must be an int"),
+        (lambda: RelationalStructure(2).relation(5), UnknownRelationError, "5"),
+        (lambda: Instance(3, [("R", 1)]), ValueError, "^scope 1 is not a sequence"),
+    ],
+    ids=[
+        "pair_matrix-str", "pair_matrix-bool", "pair_matrix-float", "project-str",
+        "project-bool", "is_rectangular-str", "oracle_congruence-str",
+        "oracle_congruence_pair-float", "oracle_balance-float", "relation-int-name",
+        "instance-int-scope",
+    ],
+)
+def test_positions_names_and_scopes_raise_typed_errors(make, error, match):
+    # each raised a raw TypeError or AttributeError, or (a bool position)
+    # silently read position 1
+    with pytest.raises(error, match=match):
+        make()
 
 
 def test_structure_keeps_the_declared_domain():
