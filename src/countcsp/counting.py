@@ -22,7 +22,9 @@ most three coordinates. All arithmetic is exact.
 cut to the positions that earlier ones leave free (_cut), and multiplies
 the results. Within a component the coordinate order is the sorted
 variable order; frames._component_frames builds the frames and chooses the
-order in which constraints are added.
+order in which constraints are added. While it builds them it drops each
+closed tail of equal class sizes, whose size is the product of those class
+sizes, so the trace and verify=True cover the kept positions only.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .frames import Frame, SectionCache, _component_frames, closure_project
+from .frames import Frame, SectionCache, _component_frames, _keep, closure_project
 from .maltsev import MaltsevOp
 
 # Not used here. The benchmark's tracer test reads both names through this
@@ -240,21 +242,25 @@ def count(
     trace: Optional[list] = None,
 ) -> int:
     """Number of solutions of the instance, via frames and reconstruction:
-    q**free, for the variables no constraint mentions, times the counts of
-    the connected components' frames (frames._component_frames), each over
-    its variables in ascending order and cut to its free positions (_cut).
+    the connected components' frames, built by frames._component_frames
+    with drop=True, each over its kept variables in ascending order and cut
+    to its free positions (_cut), counted and multiplied by what the build
+    set aside: q**free, for the variables no constraint mentions, and the
+    product of the class sizes of the closed tails it dropped.
 
     Every frame is built before any is counted; a component with no
     solution makes the count 0 and leaves the trace empty. A component with
     no free position has one solution and is not swept. The trace lists
     each component's stages over its free positions in turn, components by
-    least variable; verify=True checks those stages only. A
-    NotBalancedError names its failing pair by instance variables.
+    least variable; verify=True checks those stages only. A dropped tail
+    has no stage and is not verified: its product is exact for any
+    phi-closed solution set, balanced or not. A NotBalancedError names its
+    failing pair by instance variables.
     """
-    components = _component_frames(structure, phi, instance)
-    if components is None:
+    built = _component_frames(structure, phi, instance, drop=True)
+    if built is None:
         return 0
-    total = structure.domain_size ** (instance.num_vars - sum(len(v) for v, _ in components))
+    components, total = built
     for variables, frame in components:
         keep, cut = _cut(frame)
         if not keep:
@@ -270,7 +276,7 @@ def count(
 def _cut(frame: Frame) -> tuple:
     """(keep, cut): the positions of a nonempty frame where some
     shared-prefix class holds more than one value, ascending, and the frame
-    over just those positions.
+    over just those positions (frames._keep).
 
     At any other position p every class is one value, so x_p is a function
     of x_0 .. x_{p-1}. Dropping p is then one-to-one on the generated
@@ -282,7 +288,4 @@ def _cut(frame: Frame) -> tuple:
     keep = [p for p, g in enumerate(frame.prefix_groups()) if any(len(c) > 1 for c in g.values())]
     if len(keep) == frame.arity:
         return keep, frame
-    at = {p: k for k, p in enumerate(keep)}
-    rows = [tuple([r[p] for p in keep]) for r in frame.rows]
-    witness = {(a, at[p]): k for (a, p), k in frame.witness.items() if p in at}
-    return keep, Frame(len(keep), rows, witness)
+    return keep, _keep(frame, keep)

@@ -21,6 +21,10 @@ walk of the frame, capped at q^|J| tuples for a scope J, and pins sections
 on the frame only past the cap. Past the scope, as in every section, its
 rows come from one witness walk (_walk), which keeps a frame within
 n(q-1)+1 rows by construction: no frame is shrunk after it is built.
+For count only, the builder also drops each component's closed tail of
+equal class sizes (_closed_tail) before the next constraint meets it, so a
+banded instance is built on frames about as wide as its band; build_frame
+keeps every position.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -28,6 +32,7 @@ to a row index.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .maltsev import MaltsevOp, apply
@@ -258,8 +263,10 @@ def _levels(frame: Frame, phi: MaltsevOp, stop: int, cap: Optional[int] = None) 
     return level
 
 
+@functools.lru_cache(maxsize=16)
 def _free(q: int) -> Frame:
-    """Frame of D itself, one free coordinate: one row per value."""
+    """Frame of D itself, one free coordinate: one row per value. Frames
+    are never mutated, so one frame per q serves every build."""
     return Frame(1, ((a,) for a in range(q)), {(a, 0): a for a in range(q)})
 
 
@@ -529,11 +536,57 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     return Frame(n, rows, witness)
 
 
-def _component_frames(structure, phi: MaltsevOp, instance: Instance) -> Optional[list]:
-    """(variables, frame) for each connected component of the instance (two
-    constraints meet when their scopes share a variable), by least
-    variable, each frame over its variables in ascending order; None when
-    some component has no solution.
+def _keep(frame: Frame, keep: Sequence[int]) -> Frame:
+    """The frame over just the positions `keep`, ascending: its rows cut to
+    them, equal cuts merged, and its witnesses there renumbered. The result
+    generates the projection onto `keep` whenever every position dropped
+    before a kept one has classes of one value (counting._cut) or every
+    dropped position comes after the last kept one (a head of the frame)."""
+    rows: dict = {}
+    index = [rows.setdefault(tuple([r[p] for p in keep]), len(rows)) for r in frame.rows]
+    at = {p: k for k, p in enumerate(keep)}
+    witness = {(a, at[p]): index[k] for (a, p), k in frame.witness.items() if p in at}
+    return Frame(len(keep), rows, witness)
+
+
+def _closed_tail(frame: Frame, variables: tuple, last: dict, step: int) -> tuple:
+    """(keep, c): the frame's positions up to its longest tail whose
+    variables are closed (no constraint after `step` mentions them, by
+    `last`) and whose shared-prefix classes at each position p have one
+    size c_p, and c, the product of those c_p. The classes at p are read
+    off the witnesses at p, one lookup per value, not off prefix_groups,
+    which groups every position of the frame.
+
+    Every prefix of the generated relation R cut before such a tail has
+    exactly c extensions to the whole tail: by rectangularity the values
+    that extend a p-prefix form one class at p. So |R| = c * |pr_keep R|,
+    for any phi-closed R, balanced or not."""
+    rows, witness = frame.rows, frame.witness
+    keep = len(variables)
+    c = 1
+    while keep and last[variables[keep - 1]] < step:
+        p = keep - 1
+        sizes: dict = {}
+        for a in range(frame.reach):
+            k = witness.get((a, p))
+            if k is not None:
+                prefix = rows[k][:p]
+                sizes[prefix] = sizes.get(prefix, 0) + 1
+        size = set(sizes.values())
+        if len(size) != 1:
+            break
+        c *= size.pop()
+        keep -= 1
+    return keep, c
+
+
+def _component_frames(
+    structure, phi: MaltsevOp, instance: Instance, drop: bool = False
+) -> Optional[tuple]:
+    """(components, c): (variables, frame) for each connected component of
+    the instance (two constraints meet when their scopes share a variable),
+    by least variable, each frame over its variables in ascending order, and
+    c = 1; None when some component has no solution.
 
     Every constraint is resolved by structure.resolve before any frame work,
     so the first unknown name or scope of the wrong length raises whatever
@@ -545,6 +598,15 @@ def _component_frames(structure, phi: MaltsevOp, instance: Instance) -> Optional
     is added to the product of the components its scope meets, by least
     variable, and of its new variables, ascending. An operation over a
     domain of another size raises ValueError.
+
+    With drop=True, before a constraint's product each component it meets
+    loses its longest closed tail of equal class sizes (_closed_tail), a
+    variable being closed once no constraint still to be added mentions it.
+    Later constraints never reach those variables, so the number of
+    solutions is c times that of the kept variables: c is q per variable
+    no constraint mentions times the product over all dropped tails. The
+    components then hold their kept variables only, and a banded instance
+    is built on frames about as wide as its band.
     """
     q = structure.domain_size
     if phi.q != q:
@@ -555,10 +617,25 @@ def _component_frames(structure, phi: MaltsevOp, instance: Instance) -> Optional
         structure.resolve(instance.constraints),
         key=lambda c: (len(set(c[1])), -max(c[1])),
     )
-    free = _free(q)  # frames are never mutated: one serves every new variable
+    dropped = 1
+    if drop:
+        # variable -> index of the last constraint that mentions it; a
+        # variable none mentions is a closed position with one class, D
+        last = {v: k for k, (_, scope) in enumerate(constraints) for v in scope}
+        dropped = q ** (instance.num_vars - len(last))
+    free = _free(q)
     of: dict = {}  # variable -> (variables, frame) of its component
-    for relation, scope in constraints:
+    for step, (relation, scope) in enumerate(constraints):
         met = sorted({id(of[v]): of[v] for v in scope if v in of}.values())
+        if drop:
+            for m, (vs, g) in enumerate(met):
+                if last[vs[-1]] < step:
+                    keep, c = _closed_tail(g, vs, last, step)
+                    if keep < len(vs):
+                        dropped *= c
+                        for v in vs[keep:]:
+                            del of[v]
+                        met[m] = (vs[:keep], _keep(g, range(keep)))
         new = sorted({v for v in scope if v not in of})
         variables = tuple(sorted({v for vs, _ in met for v in vs}.union(new)))
         pos = {v: k for k, v in enumerate(variables)}
@@ -570,7 +647,7 @@ def _component_frames(structure, phi: MaltsevOp, instance: Instance) -> Optional
         component = (variables, f)
         for v in variables:
             of[v] = component
-    return sorted({id(c): c for c in of.values()}.values())
+    return sorted({id(c): c for c in of.values()}.values()), dropped
 
 
 def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
@@ -580,9 +657,10 @@ def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
     ascending; the empty frame if a component has no solution.
     """
     n = instance.num_vars
-    components = _component_frames(structure, phi, instance)
-    if components is None:
+    built = _component_frames(structure, phi, instance)
+    if built is None:
         return empty_frame(n)
+    components, _ = built
     mentioned = {v for variables, _ in components for v in variables}
     free = _free(phi.q)
     return _product(components + [((v,), free) for v in range(n) if v not in mentioned], n)

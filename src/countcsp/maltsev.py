@@ -51,10 +51,15 @@ class MaltsevOp:
         self.table = table
 
     def __call__(self, a: int, b: int, c: int) -> int:
-        """phi(a, b, c); an argument outside range(q) raises ValueError."""
+        """phi(a, b, c); an argument outside range(q), or a float, raises
+        ValueError. A float in range gives a float code, which the table
+        read rejects with the TypeError caught here."""
         q = self.q
         if 0 <= a < q and 0 <= b < q and 0 <= c < q:
-            return self.table[(a * q + b) * q + c]
+            try:
+                return self.table[(a * q + b) * q + c]
+            except TypeError:
+                pass
         raise ValueError("arguments are in range(%d), got %r" % (q, (a, b, c)))
 
     def __eq__(self, other):
@@ -69,7 +74,8 @@ class MaltsevOp:
 
 def free_entries(q: int):
     """Argument triples not forced by the identities (_forced), in
-    lexicographic order."""
+    lexicographic order. A q that is not an int raises ValueError."""
+    _require_int(q, "domain size")
     triples = itertools.product(range(q), repeat=3)
     return [t for t, pinned in zip(triples, _forced(q)) if pinned is None]
 

@@ -29,6 +29,7 @@ from countcsp import counting, frames
 from countcsp.fixtures import (
     constants_structure,
     diagonal_structure,
+    even_parity4_structure,
     random_instance,
     rank_defect_structure,
     xor3_structure,
@@ -162,6 +163,81 @@ def test_count_matches_oracle_battery():
             assert count(st, phi, inst, verify=True) == oracle_count(st, inst)
 
 
+AFF3 = RelationalStructure(
+    3, {"AFF3": Relation(3, [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0])}
+)
+
+# N's classes differ in size: after 0 a class {0, 1}, after 1 a class {2}
+N = RelationalStructure(3, {"N": Relation(2, [(0, 0), (0, 1), (1, 2)])})
+
+
+def test_count_matches_oracle_on_seven_languages():
+    # dropped tails (equal class sizes) on the affine languages, diag3 and
+    # constants; kept ones on N; rank_defect is not balanced, and its
+    # forced counts stay exact. q = 7 keeps to 4 variables for the oracle.
+    languages = [
+        xor3_structure(), even_parity4_structure(), diagonal_structure(3),
+        constants_structure(), rank_defect_structure(), AFF3, N,
+    ]
+    for st in languages:
+        phi = find_maltsev(st)
+        rng = random.Random(11)
+        max_vars = 4 if st.domain_size > 3 else 8
+        for _ in range(300):
+            inst = random_instance(st, rng, max_vars=max_vars, max_constraints=7)
+            want = oracle_count(st, inst)
+            assert count(st, phi, inst) == want, inst.constraints
+            assert count(st, phi, inst, verify=True) == want, inst.constraints
+
+
+def _add_constraint_arities(monkeypatch) -> list:
+    arities: list = []
+    original = frames.add_constraint
+
+    def recorded(frame, *args):
+        arities.append(frame.arity)
+        return original(frame, *args)
+
+    monkeypatch.setattr(frames, "add_constraint", recorded)
+    return arities
+
+
+def test_a_banded_count_builds_frames_as_wide_as_its_band(monkeypatch):
+    # the XOR3 chain at n = 400 and the wide component XOR3(2k, 2k+1,
+    # 2k+2), k < 100: each constraint meets a frame cut after its own
+    # scope, so the frames add_constraint receives stay within 4 positions
+    # however long the instance; build_frame keeps every position
+    arities = _add_constraint_arities(monkeypatch)
+    n = 400
+    assert count(XOR3, MIN2, Instance(n, [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)])) == 4
+    assert len(arities) == n - 2 and max(arities) <= 4
+    m = 100
+    wide = Instance(2 * m + 1, [("XOR3", (2 * k, 2 * k + 1, 2 * k + 2)) for k in range(m)])
+    del arities[:]
+    assert count(XOR3, MIN2, wide) == 2 ** (m + 1)
+    assert len(arities) == m and max(arities) <= 4
+    del arities[:]
+    chain = Instance(20, [("XOR3", (i, i + 1, i + 2)) for i in range(18)])
+    assert build_frame(XOR3, MIN2, chain).arity == 20
+    assert arities == list(range(3, 21))
+
+
+def test_an_n_chain_drops_no_position(monkeypatch):
+    # every tail of the N chain has classes of two sizes, so each
+    # constraint meets the whole frame built so far. Its solutions are
+    # 0..0 followed by 00, 01 or 12: a 1 before the last two positions
+    # forces a 2, which no N tuple starts with
+    n = 12
+    phi = find_maltsev(N)
+    chain = Instance(n, [("N", (i, i + 1)) for i in range(n - 1)])
+    components, dropped = frames._component_frames(N, phi, chain, drop=True)
+    assert dropped == 1
+    assert [v for v, _ in components] == [tuple(range(n))]
+    arities = _add_constraint_arities(monkeypatch)
+    assert count(N, phi, chain, verify=True) == 3
+    assert arities == list(range(2, n + 1))
+
+
 def test_count_matches_oracle_over_a_declared_unused_element():
     # XOR3 over {0, 1, 2}: element 2 is in no relation but every count,
     # EQ and CONST_2 range over it
@@ -277,7 +353,7 @@ def test_components_count_apart():
     assert oracle_count(XOR3, inst) == 16
     # components in order of least variable, each framed and traced as if
     # alone; count_frame sweeps every position of the uncut frames
-    components = frames._component_frames(XOR3, MIN2, inst)
+    components, _ = frames._component_frames(XOR3, MIN2, inst)
     assert [v for v, _ in components] == [(0, 3, 5, 7), (1, 2, 6)]
     trace: list = []
     for variables, frame in components:
@@ -329,7 +405,7 @@ def test_rank_defect_permuted_scope_is_caught():
     phi = find_maltsev(st)
     inst = Instance(4, [("CONST_1", (0,)), ("R", (2, 3, 1))])
     assert oracle_count(st, inst) == 5
-    _, (variables, r_frame) = frames._component_frames(st, phi, inst)
+    (_, (variables, r_frame)), _ = frames._component_frames(st, phi, inst)
     assert variables == (1, 2, 3)
     with pytest.raises(NotBalancedError) as exc:
         count_frame(r_frame, phi, variables=variables)
@@ -339,10 +415,6 @@ def test_rank_defect_permuted_scope_is_caught():
     # and counts its five values exactly
     assert count(st, phi, inst, verify=True) == 5
 
-
-AFF3 = RelationalStructure(
-    3, {"AFF3": Relation(3, [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0])}
-)
 
 # (structure, instance, arities of the frames count_frame sweeps)
 DETERMINED = [
@@ -373,14 +445,26 @@ def test_a_component_with_no_free_position_is_not_swept(monkeypatch, structure, 
 
 
 def test_count_names_a_failing_pair_by_instance_variables(monkeypatch):
-    # x1 is a component of its own, and x3 and x5 are cut (x0 and x2
-    # determine x3, x3 and x4 determine x5), so the failing stage at kept
-    # positions (1, 2) is the pair (2, 4)
+    # x1 is a component of its own; x7 is dropped before XOR3(0, 2, 5) is
+    # added (no constraint left mentions it, and x3 and x5 determine it),
+    # and x5 is cut (x0 and x2 determine it), so the failing stage at kept
+    # positions (1, 2) is the pair (2, 3)
+    inst = Instance(8, [("XOR3", (0, 2, 5)), ("CONST_1", (1,)), ("XOR3", (3, 5, 7))])
+    trace: list = []
+    assert count(XOR3, MIN2, inst, verify=True, trace=trace) == oracle_count(XOR3, inst) == 32
+    assert [(s.i, s.j) for s in trace] == [(0, 1), (0, 2), (1, 2)]
+    assert {s.variables for s in trace} == {(0, 2, 3)}
     monkeypatch.setattr(counting, "_bipartite_blocks", lambda pairs: None)
-    inst = Instance(6, [("XOR3", (0, 2, 3)), ("CONST_1", (1,)), ("XOR3", (3, 4, 5))])
     with pytest.raises(NotBalancedError) as exc:
         count(XOR3, MIN2, inst)
-    assert exc.value.pair == (2, 4)
+    assert exc.value.pair == (2, 3)
+    # the instance this test pinned before tails were dropped: x4 and x5
+    # now go with XOR3(3, 4, 5)'s closed tail, so count's one stage is a
+    # base stage and the monkeypatched failure is never reached
+    inst = Instance(6, [("XOR3", (0, 2, 3)), ("CONST_1", (1,)), ("XOR3", (3, 4, 5))])
+    trace = []
+    assert count(XOR3, MIN2, inst, trace=trace) == oracle_count(XOR3, inst) == 8
+    assert [(s.i, s.j, s.variables) for s in trace] == [(0, 1, (0, 2))]
 
 
 def test_non_rectangular_quotient_is_not_balanced(monkeypatch):

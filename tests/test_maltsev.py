@@ -51,6 +51,22 @@ def test_op_validates_identities():
         MaltsevOp(2, minority_table()[:-1])
 
 
+@pytest.mark.parametrize("args", [(0, 1.0, 0), (0.5, 0, 1), (0, 1, 1.0)])
+def test_op_rejects_float_arguments(args):
+    # a float in range made a float table code, and the read raised a raw
+    # TypeError ("tuple indices must be integers or slices, not float")
+    op = MaltsevOp(2, minority_table())
+    with pytest.raises(ValueError, match=r"^arguments are in range\(2\)"):
+        op(*args)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, "2"])
+def test_free_entries_rejects_a_domain_size_that_is_not_an_int(q):
+    # 1.5 raised a raw TypeError from range(1.5)
+    with pytest.raises(ValueError, match="domain size must be an int"):
+        free_entries(q)
+
+
 @pytest.mark.parametrize("args", [(0, 0, 5), (0, 1, -1), (2, 0, 0)])
 def test_op_rejects_arguments_outside_the_domain(args):
     # (0, 0, 5) and (0, 1, -1) read other table entries, (2, 0, 0) raised

@@ -39,6 +39,7 @@ from countcsp.fixtures import (
     constants_structure,
     diagonal_structure,
     disequality_structure,
+    even_parity4_structure,
     random_instance,
     xor3_structure,
 )
@@ -454,6 +455,34 @@ def test_constraint_order_moves_no_count_or_relation(k, seed, data):
     assert count(structure, phi, permuted) == count(structure, phi, inst)
     assert helpers.relation_text(build_frame(structure, phi, permuted), phi, q) == (
         helpers.relation_text(build_frame(structure, phi, inst), phi, q)
+    )
+
+
+ORDER_LANGUAGES = [
+    (s, find_maltsev(s))
+    for s in (
+        xor3_structure(),
+        even_parity4_structure(),
+        diagonal_structure(3),
+        constants_structure(),
+        RelationalStructure(3, {"AFF3": Relation(3, [
+            t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0
+        ])}),
+        RelationalStructure(3, {"N": Relation(2, [(0, 0), (0, 1), (1, 2)])}),
+    )
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(ORDER_LANGUAGES) - 1), st.integers(0, 2**32 - 1), st.data())
+def test_count_is_exact_in_any_constraint_order(k, seed, data):
+    # which tails count drops, and when, follows the order the builder adds
+    # the constraints in, and that order breaks ties by the instance's own
+    structure, phi = ORDER_LANGUAGES[k]
+    inst = random_instance(structure, random.Random(seed), max_vars=7, max_constraints=7)
+    permuted = Instance(inst.num_vars, data.draw(st.permutations(inst.constraints)))
+    assert count(structure, phi, permuted) == count(structure, phi, inst) == (
+        oracle_count(structure, inst)
     )
 
 
