@@ -26,6 +26,15 @@ equal class sizes (_closed_tail) before the next constraint meets it, so a
 banded instance is built on frames about as wide as its band; build_frame
 keeps every position.
 
+A constraint whose variables are all new when it is added gets a frame
+that depends on its relation, phi and the pattern of its scope only: the
+relation's own frame, positions in scope order. The builder keeps that
+frame on the constraint's Relation, keyed by (phi, scope positions), and
+every later instance over the relation reuses it; it lives as long as the
+Relation, and there is at most one per phi and scope pattern. Frames are
+never mutated, so a frame may be shared: build_frame can return one kept
+this way, as it can return _free(q)'s.
+
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
 """
@@ -137,8 +146,9 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
     the projected tuples, reading phi digit by digit off phi.table, and
     applies phi to a full carrier only when a new projection appears. Seeds
     are deduplicated on the projection (first one kept), and the loop stops
-    early once all q^|indices| projections exist. The projection of the
-    result equals the projection of the full closure.
+    early once all q^|indices| projections exist, though every seed is
+    checked. The projection of the result equals the projection of the
+    full closure.
 
     Triples of found projections are tried in a fixed order: for each newest
     index j1 = 1, 2, ... and each j2 < j1, every j3 < j2 in all six
@@ -178,8 +188,8 @@ def closure_project(rows: Iterable[tuple], phi: MaltsevOp, indices) -> list:
             seen.add(p)
             full.append(tuple(t))
             proj.append(p)
-            if len(proj) == Q:
-                return full
+    if len(proj) == Q:
+        return full
 
     def grow(k1: int, k2: int, k3: int) -> bool:
         u = tuple([table[(x * q + y) * q + z] for x, y, z in zip(proj[k1], proj[k2], proj[k3])])
@@ -596,8 +606,10 @@ def _component_frames(
     constraint reaches few positions after its scope. A variable is a free
     coordinate of its own until a constraint mentions it: each constraint
     is added to the product of the components its scope meets, by least
-    variable, and of its new variables, ascending. An operation over a
-    domain of another size raises ValueError.
+    variable, and of its new variables, ascending. A constraint that meets
+    no component takes its frame from its relation when an earlier build
+    kept one (the module docstring), and keeps the frame it builds. An
+    operation over a domain of another size raises ValueError.
 
     With drop=True, before a constraint's product each component it meets
     loses its longest closed tail of equal class sizes (_closed_tail), a
@@ -639,9 +651,14 @@ def _component_frames(
         new = sorted({v for v in scope if v not in of})
         variables = tuple(sorted({v for vs, _ in met for v in vs}.union(new)))
         pos = {v: k for k, v in enumerate(variables)}
-        parts = [(tuple([pos[v] for v in vs]), g) for vs, g in met]
-        f = _product(parts + [((pos[v],), free) for v in new], len(variables))
-        f = add_constraint(f, phi, relation, tuple([pos[v] for v in scope]))
+        at = tuple([pos[v] for v in scope])
+        f = None if met else relation._frames.get((phi, at))
+        if f is None:
+            parts = [(tuple([pos[v] for v in vs]), g) for vs, g in met]
+            f = _product(parts + [((pos[v],), free) for v in new], len(variables))
+            f = add_constraint(f, phi, relation, at)
+            if not met:
+                relation._frames[phi, at] = f
         if f.is_empty():
             return None
         component = (variables, f)
@@ -654,7 +671,8 @@ def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
     """Small frame for the instance's solution set: the product of its
     connected components' frames (_component_frames), by least variable,
     and of one free coordinate per variable no constraint mentions,
-    ascending; the empty frame if a component has no solution.
+    ascending; the empty frame if a component has no solution. Frames are
+    never mutated, so the frame returned may be shared with other builds.
     """
     n = instance.num_vars
     built = _component_frames(structure, phi, instance)

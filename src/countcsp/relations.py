@@ -3,6 +3,14 @@
 Domains are always {0, ..., q-1}. Relations are finite sets of tuples over
 such a domain; count matrices carry exact (arbitrary precision) integer
 entries. Everything here is plain combinatorics with no search in it.
+
+What depends on the language alone is built once per language, not once
+per instance: a structure keeps one Relation per built-in name (EQ and each
+CONST_<a>), and a Relation, never mutated, keeps its collapsed relations,
+one per repeat pattern of a scope (collapse_scope), and the frames that
+frames._component_frames builds for it, one per (phi, scope positions).
+Each cache lives as long as the object that holds it, so its size is
+bounded by the operations times the scope patterns in use.
 """
 
 from __future__ import annotations
@@ -44,9 +52,10 @@ def _require_int(value, what: str) -> None:
 
 class Relation:
     """An arity-r relation over {0..q-1}: a deduplicated, lexicographically
-    sorted tuple set with O(1) membership."""
+    sorted tuple set with O(1) membership, and the caches of results
+    derived from it alone (the module docstring)."""
 
-    __slots__ = ("arity", "tuples", "_set")
+    __slots__ = ("arity", "tuples", "_set", "_collapsed", "_frames")
 
     def __init__(self, arity: int, tuples: Iterable[Sequence[int]]):
         _require_int(arity, "relation arity")
@@ -65,6 +74,8 @@ class Relation:
         self.arity = arity
         self.tuples = tuple(sorted(seen))
         self._set = seen
+        self._collapsed: dict = {}
+        self._frames: dict = {}
 
     def __contains__(self, t) -> bool:
         return tuple(t) in self._set
@@ -108,19 +119,26 @@ def project(relation: Relation, indices: Sequence[int]) -> Relation:
 def collapse_scope(relation: Relation, scope: Sequence[int]):
     """Replace repeated scope variables by intersecting with the diagonal:
     the result has distinct variables (in order of first occurrence) and may
-    be empty."""
+    be empty. The collapsed relation depends only on the repeat pattern,
+    each variable's rank in that order, as (0, 1, 0) for (x, y, x); it is
+    built once per pattern and kept on the source relation."""
     scope = tuple(scope)
     if len(scope) != relation.arity:
         raise ValueError("scope length does not match relation arity")
     if len(set(scope)) == len(scope):
         return relation, scope
-    kept = []
-    for t in relation:
-        value = dict(zip(scope, t))
-        if len(value) == len(set(zip(scope, t))):  # repeated variables agree
-            kept.append(tuple(value.values()))
     distinct = tuple(dict.fromkeys(scope))
-    return Relation(len(distinct), kept), distinct
+    rank = {v: k for k, v in enumerate(distinct)}
+    pattern = tuple([rank[v] for v in scope])
+    collapsed = relation._collapsed.get(pattern)
+    if collapsed is None:
+        kept = []
+        for t in relation:
+            value = dict(zip(pattern, t))
+            if len(value) == len(set(zip(pattern, t))):  # repeated variables agree
+                kept.append(tuple(value.values()))
+        collapsed = relation._collapsed[pattern] = Relation(len(distinct), kept)
+    return collapsed, distinct
 
 
 @dataclass(frozen=True)
@@ -426,6 +444,8 @@ class RelationalStructure:
     singleton relations are reachable as CONST_<a>; neither may be redefined.
     The domain is the declared one, whether or not every element appears in
     a relation: counts range over it and CONST_<a> names its element a.
+    Like EQ, each CONST_<a> is one Relation per structure, built on first
+    use, so what it caches serves every instance over the structure.
     """
 
     def __init__(self, domain_size: int, relations: Mapping[str, Relation] | None = None):
@@ -447,6 +467,7 @@ class RelationalStructure:
         self.domain_size = domain_size
         self.relations: dict[str, Relation] = relations
         self._eq = Relation(2, [(a, a) for a in range(domain_size)])
+        self._consts: dict = {}
 
     @property
     def relation_names(self):
@@ -462,7 +483,11 @@ class RelationalStructure:
             tail = name[len(RESERVED_CONST_PREFIX):]
             if not (tail.isascii() and tail.isdigit()) or int(tail) >= self.domain_size:
                 raise UnknownRelationError(name)
-            return Relation(1, [(int(tail),)])
+            a = int(tail)
+            const = self._consts.get(a)
+            if const is None:
+                const = self._consts[a] = Relation(1, [(a,)])
+            return const
         if name not in self.relations:
             raise UnknownRelationError(name)
         return self.relations[name]

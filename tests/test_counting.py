@@ -163,12 +163,20 @@ def test_count_matches_oracle_battery():
             assert count(st, phi, inst, verify=True) == oracle_count(st, inst)
 
 
-AFF3 = RelationalStructure(
-    3, {"AFF3": Relation(3, [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0])}
-)
+def _aff3_structure() -> RelationalStructure:
+    triples = [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0]
+    return RelationalStructure(3, {"AFF3": Relation(3, triples)})
 
-# N's classes differ in size: after 0 a class {0, 1}, after 1 a class {2}
-N = RelationalStructure(3, {"N": Relation(2, [(0, 0), (0, 1), (1, 2)])})
+
+AFF3 = _aff3_structure()
+
+
+def _n_structure() -> RelationalStructure:
+    # N's classes differ in size: after 0 a class {0, 1}, after 1 a class {2}
+    return RelationalStructure(3, {"N": Relation(2, [(0, 0), (0, 1), (1, 2)])})
+
+
+N = _n_structure()
 
 
 def test_count_matches_oracle_on_seven_languages():
@@ -190,6 +198,32 @@ def test_count_matches_oracle_on_seven_languages():
             assert count(st, phi, inst, verify=True) == want, inst.constraints
 
 
+def _frame_count_and_trace(st, phi, inst) -> tuple:
+    trace: list = []
+    counted = count(st, phi, inst, trace=trace)
+    return frames.dump(build_frame(st, phi, inst)), counted, trace
+
+
+def test_frames_kept_on_relations_change_no_result():
+    # a structure shared by the whole battery keeps each fresh-variable
+    # constraint's frame and each collapsed relation on its relations; a
+    # new structure per draw starts with none, so builds every one
+    factories = [
+        xor3_structure, lambda: diagonal_structure(3), _aff3_structure,
+        even_parity4_structure, constants_structure, rank_defect_structure, _n_structure,
+    ]
+    for factory in factories:
+        shared = factory()
+        phi = find_maltsev(shared)
+        rng = random.Random(5)
+        max_vars = 4 if shared.domain_size > 3 else 7
+        for _ in range(150):
+            inst = random_instance(shared, rng, max_vars=max_vars, max_constraints=7)
+            fresh = _frame_count_and_trace(factory(), phi, inst)
+            assert _frame_count_and_trace(shared, phi, inst) == fresh, inst.constraints
+        assert shared.relation(shared.relation_names[0])._frames
+
+
 def _add_constraint_arities(monkeypatch) -> list:
     arities: list = []
     original = frames.add_constraint
@@ -206,19 +240,22 @@ def test_a_banded_count_builds_frames_as_wide_as_its_band(monkeypatch):
     # the XOR3 chain at n = 400 and the wide component XOR3(2k, 2k+1,
     # 2k+2), k < 100: each constraint meets a frame cut after its own
     # scope, so the frames add_constraint receives stay within 4 positions
-    # however long the instance; build_frame keeps every position
+    # however long the instance; build_frame keeps every position. Each
+    # call gets a new structure, whose XOR3 keeps no frame yet, so every
+    # constraint is added
     arities = _add_constraint_arities(monkeypatch)
     n = 400
-    assert count(XOR3, MIN2, Instance(n, [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)])) == 4
+    chain = Instance(n, [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)])
+    assert count(xor3_structure(), MIN2, chain) == 4
     assert len(arities) == n - 2 and max(arities) <= 4
     m = 100
     wide = Instance(2 * m + 1, [("XOR3", (2 * k, 2 * k + 1, 2 * k + 2)) for k in range(m)])
     del arities[:]
-    assert count(XOR3, MIN2, wide) == 2 ** (m + 1)
+    assert count(xor3_structure(), MIN2, wide) == 2 ** (m + 1)
     assert len(arities) == m and max(arities) <= 4
     del arities[:]
     chain = Instance(20, [("XOR3", (i, i + 1, i + 2)) for i in range(18)])
-    assert build_frame(XOR3, MIN2, chain).arity == 20
+    assert build_frame(xor3_structure(), MIN2, chain).arity == 20
     assert arities == list(range(3, 21))
 
 
@@ -233,9 +270,15 @@ def test_an_n_chain_drops_no_position(monkeypatch):
     components, dropped = frames._component_frames(N, phi, chain, drop=True)
     assert dropped == 1
     assert [v for v, _ in components] == [tuple(range(n))]
+    # a new structure keeps no frame yet, so every constraint is added;
+    # counted again, the first one, on two new variables, reuses its frame
+    st = _n_structure()
     arities = _add_constraint_arities(monkeypatch)
-    assert count(N, phi, chain, verify=True) == 3
+    assert count(st, phi, chain, verify=True) == 3
     assert arities == list(range(2, n + 1))
+    del arities[:]
+    assert count(st, phi, chain, verify=True) == 3
+    assert arities == list(range(3, n + 1))
 
 
 def test_count_matches_oracle_over_a_declared_unused_element():

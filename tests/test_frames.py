@@ -178,6 +178,9 @@ def test_closure_project_rejects_indices_outside_the_rows():
     for idx in ((0,), (1,)):
         with pytest.raises(ValueError, match="does not have length 2"):
             closure_project([(0, 1), (1,)], MIN2, idx)
+    # a seed after every projection is found: it went unchecked
+    with pytest.raises(ValueError, match="does not have length 1"):
+        closure_project([(0,), (1,), (0, 1, 2)], MIN2, (0,))
 
 
 def test_closure_project_rejects_seeds_outside_the_domain():
@@ -185,6 +188,9 @@ def test_closure_project_rejects_seeds_outside_the_domain():
     for rows in ([(0, 3), (1, 1)], [(1, 1), (0, 3)], [(0, 0), (-1, 1)]):
         with pytest.raises(ValueError, match=r"outside range\(2\)"):
             closure_project(rows, MIN2, (0, 1))
+    # a seed after every projection is found: it went unchecked
+    with pytest.raises(ValueError, match=r"outside range\(2\)"):
+        closure_project([(0,), (1,), (5,)], MIN2, (0,))
 
 
 def test_closure_results_stay_inside_closure():
@@ -306,6 +312,14 @@ def test_collapse_scope():
     assert collapsed.tuples == ((0, 0), (1, 0))
     same, scope2 = collapse_scope(rel, (2, 0, 1))
     assert same is rel and scope2 == (2, 0, 1)
+    # one collapsed relation per repeat pattern, kept on its source
+    first, scope3 = collapse_scope(rel, (1, 2, 1))
+    again, scope4 = collapse_scope(rel, (1, 2, 1))
+    other, scope5 = collapse_scope(rel, (4, 0, 4))
+    assert first is again is other
+    assert (scope3, scope4, scope5) == ((1, 2), (1, 2), (4, 0))
+    assert first.tuples == ((0, 0), (1, 0))
+    assert collapse_scope(rel, (1, 1, 0))[0] is collapsed is not first
     empty, _ = collapse_scope(Relation(2, [(0, 1), (1, 0)]), (0, 0))
     assert len(empty) == 0
 

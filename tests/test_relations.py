@@ -232,6 +232,12 @@ def test_structure_reserved_names_and_lookup():
     st = RelationalStructure(2, {"R": Relation(1, [(0,), (1,)])})
     assert st.relation("EQ").tuples == ((0, 0), (1, 1))
     assert st.relation("CONST_1").tuples == ((1,),)
+    # one relation per constant per structure, as for EQ; a leading zero
+    # still names the same element
+    assert st.relation("CONST_1") is st.relation("CONST_1")
+    assert st.relation("EQ") is st.relation("EQ")
+    assert st.relation("CONST_01").tuples == ((1,),)
+    assert st.relation("CONST_0") is not RelationalStructure(2).relation("CONST_0")
     with pytest.raises(KeyError):
         st.relation("CONST_5")
     with pytest.raises(KeyError):
