@@ -33,7 +33,9 @@ frame on the constraint's Relation, keyed by (phi, scope positions), and
 every later instance over the relation reuses it; it lives as long as the
 Relation, and there is at most one per phi and scope pattern. Frames are
 never mutated, so a frame may be shared: build_frame can return one kept
-this way, as it can return _free(q)'s.
+this way, as it can return _free(q)'s. A shared frame's witness map is
+read-only (_shared), so a caller that tries to change one gets a TypeError
+rather than changing every later build over the relation.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -42,6 +44,7 @@ to a row index.
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .maltsev import MaltsevOp, apply
@@ -54,7 +57,8 @@ class Frame:
     The empty frame (no rows) generates the empty relation; an arity-0 frame
     with one empty row represents the relation containing the empty tuple.
     Frames are never mutated, so their shared-prefix groups are computed at
-    most once. `rows` may be a dict from row to index built in index order,
+    most once, and a frame that several builds share has a read-only
+    witness map (_shared). `rows` may be a dict from row to index built in index order,
     as the frame builders intern their rows. `reach` is one more than the
     largest witnessed value: phi must act on range(reach).
     """
@@ -273,11 +277,18 @@ def _levels(frame: Frame, phi: MaltsevOp, stop: int, cap: Optional[int] = None) 
     return level
 
 
+def _shared(frame: Frame) -> Frame:
+    """`frame`, its witness map made read-only, before several builds
+    share it."""
+    frame.witness = MappingProxyType(dict(frame.witness))
+    return frame
+
+
 @functools.lru_cache(maxsize=16)
 def _free(q: int) -> Frame:
     """Frame of D itself, one free coordinate: one row per value. Frames
     are never mutated, so one frame per q serves every build."""
-    return Frame(1, ((a,) for a in range(q)), {(a, 0): a for a in range(q)})
+    return _shared(Frame(1, ((a,) for a in range(q)), {(a, 0): a for a in range(q)}))
 
 
 def _product(parts: Sequence, n: int) -> Frame:
@@ -658,7 +669,7 @@ def _component_frames(
             f = _product(parts + [((pos[v],), free) for v in new], len(variables))
             f = add_constraint(f, phi, relation, at)
             if not met:
-                relation._frames[phi, at] = f
+                relation._frames[phi, at] = _shared(f)
         if f.is_empty():
             return None
         component = (variables, f)

@@ -31,9 +31,11 @@ def encode(digits: Iterable[int], q: int) -> int:
 class MaltsevOp:
     """Ternary operation on {0..q-1} stored as a flat table of length q^3,
     indexed by argument code (a*q + b)*q + c. Every caller that applies it
-    to tuples, closures included, reads this one table digit by digit."""
+    to tuples, closures included, reads this one table digit by digit.
+    The table never changes, so its hash is taken once, at construction:
+    frames kept on a relation are keyed by the operation."""
 
-    __slots__ = ("q", "table")
+    __slots__ = ("q", "table", "_hash")
 
     def __init__(self, q: int, table):
         _require_int(q, "domain size")
@@ -49,6 +51,7 @@ class MaltsevOp:
                 raise ValueError("table violates the Mal'tsev identities")
         self.q = q
         self.table = table
+        self._hash = hash((q, table))
 
     def __call__(self, a: int, b: int, c: int) -> int:
         """phi(a, b, c); an argument outside range(q), or a float, raises
@@ -66,7 +69,7 @@ class MaltsevOp:
         return isinstance(other, MaltsevOp) and self.q == other.q and self.table == other.table
 
     def __hash__(self):
-        return hash((self.q, self.table))
+        return self._hash
 
     def __repr__(self):
         return "MaltsevOp(q=%d)" % self.q

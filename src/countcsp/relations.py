@@ -6,11 +6,11 @@ entries. Everything here is plain combinatorics with no search in it.
 
 What depends on the language alone is built once per language, not once
 per instance: a structure keeps one Relation per built-in name (EQ and each
-CONST_<a>), and a Relation, never mutated, keeps its collapsed relations,
-one per repeat pattern of a scope (collapse_scope), and the frames that
-frames._component_frames builds for it, one per (phi, scope positions).
-Each cache lives as long as the object that holds it, so its size is
-bounded by the operations times the scope patterns in use.
+CONST_<a>) for as long as it lives, and a Relation, never mutated, keeps
+its collapsed relations (collapse_scope) for as long as it lives, at most
+one per repeat pattern of a scope in use. A Relation also carries one
+slot, _frames, that this module never reads: the frames module owns what
+it holds and documents it.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ def _require_int(value, what: str) -> None:
 
 class Relation:
     """An arity-r relation over {0..q-1}: a deduplicated, lexicographically
-    sorted tuple set with O(1) membership, and the caches of results
-    derived from it alone (the module docstring)."""
+    sorted tuple set with O(1) membership. It keeps its collapsed
+    relations (collapse_scope), and _frames is an empty dict for the
+    frames module to fill."""
 
     __slots__ = ("arity", "tuples", "_set", "_collapsed", "_frames")
 

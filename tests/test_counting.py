@@ -224,6 +224,25 @@ def test_frames_kept_on_relations_change_no_result():
         assert shared.relation(shared.relation_names[0])._frames
 
 
+def test_a_frame_kept_on_a_relation_cannot_be_changed_through_a_build():
+    # one fresh-variable constraint and no free variable: build_frame hands
+    # back the frame kept on XOR3 itself, and a new free coordinate is
+    # _free(2)'s frame; changing either must not reach the next build
+    st = xor3_structure()
+    inst = Instance(3, [("XOR3", (0, 1, 2))])
+    kept = build_frame(st, MIN2, inst)
+    assert kept is build_frame(st, MIN2, inst)
+    text = frames.dump(kept)
+    for f in (kept, build_frame(st, MIN2, Instance(1, []))):
+        with pytest.raises(TypeError):
+            f.witness[(1, 0)] = 0
+        with pytest.raises(TypeError):
+            del f.witness[(0, 0)]
+    assert frames.dump(build_frame(st, MIN2, inst)) == text
+    assert frames.dump(build_frame(xor3_structure(), MIN2, inst)) == text
+    assert count(st, MIN2, inst) == 4
+
+
 def _add_constraint_arities(monkeypatch) -> list:
     arities: list = []
     original = frames.add_constraint

@@ -51,6 +51,13 @@ def test_op_validates_identities():
         MaltsevOp(2, minority_table()[:-1])
 
 
+def test_equal_ops_hash_alike_as_keys():
+    # the hash is taken once, from q and the table
+    op, same = MaltsevOp(2, minority_table()), MaltsevOp(2, list(minority_table()))
+    assert op == same and hash(op) == hash(same) == hash((2, minority_table()))
+    assert {op: 1}[same] == 1
+
+
 @pytest.mark.parametrize("args", [(0, 1.0, 0), (0.5, 0, 1), (0, 1, 1.0)])
 def test_op_rejects_float_arguments(args):
     # a float in range made a float table code, and the read raised a raw
