@@ -47,6 +47,7 @@ from .relations import (
     RelationalStructure,
     _bipartite_blocks,
     _require_int,
+    _require_type,
     reconstruct_rank_one,
 )
 
@@ -178,8 +179,10 @@ def count_frame(
     reconstructed entries. A `trace` list receives one CountStep per
     stage. `variables[p]` names position p in those errors and steps; it
     defaults to tuple(range(arity)), and a tuple of another length raises
-    ValueError.
+    ValueError. A frame or phi of another class raises TypeError.
     """
+    _require_type(frame, Frame, "frame")
+    _require_type(phi, MaltsevOp, "phi")
     n = frame.arity
     if variables is None:
         variables = tuple(range(n))
@@ -255,7 +258,8 @@ def count(
     least variable; verify=True checks those stages only. A dropped tail
     has no stage and is not verified: its product is exact for any
     phi-closed solution set, balanced or not. A NotBalancedError names its
-    failing pair by instance variables.
+    failing pair by instance variables. Arguments of another class raise
+    TypeError (frames._component_frames).
     """
     built = _component_frames(structure, phi, instance, drop=True)
     if built is None:

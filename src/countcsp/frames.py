@@ -26,16 +26,26 @@ equal class sizes (_closed_tail) before the next constraint meets it, so a
 banded instance is built on frames about as wide as its band; build_frame
 keeps every position.
 
-A constraint whose variables are all new when it is added gets a frame
-that depends on its relation, phi and the pattern of its scope only: the
-relation's own frame, positions in scope order. The builder keeps that
-frame on the constraint's Relation, keyed by (phi, scope positions), and
-every later instance over the relation reuses it; it lives as long as the
-Relation, and there is at most one per phi and scope pattern. Frames are
-never mutated, so a frame may be shared: build_frame can return one kept
-this way, as it can return _free(q)'s. A shared frame's witness map is
-read-only (_shared), so a caller that tries to change one gets a TypeError
-rather than changing every later build over the relation.
+Each builder step, one _product of the components a constraint's scope
+meets and of its new variables, then one add_constraint, gives a frame
+that depends on phi, the relation, the scope positions, the new
+component's size and each met component's positions and frame (arity,
+rows in order, witness map in order) only. Order counts: the witness
+map's order sets the order of later rows through prefix_groups. The
+builder keeps each step's frame on the constraint's Relation under that
+key (_step_key), and a later step with an equal key, in any instance over
+the relation, takes the kept frame and builds nothing; a step that meets
+no component is the case of no met frames. Memory is bounded per
+relation: its cache (_Steps) holds at most _STEP_BUDGET frame cells, rows
+times arity over its keys' frames and its kept frames, dropping its
+oldest entries first, and a step whose met frames hold more than
+_STEP_SHARE cells is neither looked up nor kept, so a long component is
+built as it would be without the cache. The cache lives as long as the
+Relation. Frames are never mutated, so a frame may be shared:
+build_frame can return one kept this way, as it can return _free(q)'s. A
+shared frame's witness map is read-only (_shared), so a caller that tries
+to change one gets a TypeError rather than changing every later build
+over the relation.
 
 Positions are 0-based throughout. A frame's witness maps (value, position)
 to a row index.
@@ -48,7 +58,15 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .maltsev import MaltsevOp, apply
-from .relations import Instance, Partition, Relation, _require_int, collapse_scope
+from .relations import (
+    Instance,
+    Partition,
+    Relation,
+    RelationalStructure,
+    _require_int,
+    _require_type,
+    collapse_scope,
+)
 
 
 class Frame:
@@ -58,7 +76,7 @@ class Frame:
     with one empty row represents the relation containing the empty tuple.
     Frames are never mutated, so their shared-prefix groups are computed at
     most once, and a frame that several builds share has a read-only
-    witness map (_shared). `rows` may be a dict from row to index built in index order,
+    witness map and keeps no groups (_shared). `rows` may be a dict from row to index built in index order,
     as the frame builders intern their rows. `reach` is one more than the
     largest witnessed value: phi must act on range(reach).
     """
@@ -110,14 +128,18 @@ class Frame:
     def prefix_groups(self) -> list:
         """For every position i, a dict from witness-row i-prefix to the
         values at i whose witnesses carry it, in witness-map order; one pass
-        over the witness map on the first call, kept for later ones."""
-        if self._groups is None:
-            groups: list = [{} for _ in range(self.arity)]
+        over the witness map on the first call, kept for later ones unless
+        the frame is shared (_shared), as a step cache may keep it as long
+        as its relation lives."""
+        groups = self._groups
+        if groups is None:
+            groups = [{} for _ in range(self.arity)]
             rows = self.rows
             for (a, i), k in self.witness.items():
                 groups[i].setdefault(rows[k][:i], []).append(a)
-            self._groups = groups
-        return self._groups
+            if type(self.witness) is dict:
+                self._groups = groups
+        return groups
 
     def position_classes(self, i: int) -> Partition:
         """Classes of the shared-prefix equivalence at position i, read off
@@ -264,8 +286,9 @@ def _levels(frame: Frame, phi: MaltsevOp, stop: int, cap: Optional[int] = None) 
     `cap` tuples. A value reached without a witness raises ValueError."""
     _check_reach(frame, phi)
     level = [frame.witness_row(a, 0) for a in frame.projection(0)]
+    groups = frame.prefix_groups()
     for i in range(1, stop):
-        class_of = {a: cls for cls in frame.prefix_groups()[i].values() for a in cls}
+        class_of = {a: cls for cls in groups[i].values() for a in cls}
         nxt = []
         for t in level:
             if (t[i], i) not in frame.witness:
@@ -277,10 +300,20 @@ def _levels(frame: Frame, phi: MaltsevOp, stop: int, cap: Optional[int] = None) 
     return level
 
 
+# One (value, position) tuple per pair, for the witness maps of all shared
+# frames: at most q (the largest in use) times the widest shared frame's
+# arity, which is at most _STEP_SHARE plus a relation's arity, as a step
+# cache keeps no step whose met frames hold more than _STEP_SHARE cells.
+_PAIRS: dict = {}
+
+
 def _shared(frame: Frame) -> Frame:
-    """`frame`, its witness map made read-only, before several builds
-    share it."""
-    frame.witness = MappingProxyType(dict(frame.witness))
+    """`frame`, its witness map made read-only and its (value, position)
+    keys interned, before several builds share it; it keeps no
+    prefix_groups from now on."""
+    pairs = _PAIRS
+    frame.witness = MappingProxyType({pairs.setdefault(ai, ai): k for ai, k in frame.witness.items()})
+    frame._groups = None
     return frame
 
 
@@ -504,7 +537,11 @@ def add_constraint(frame: Frame, phi: MaltsevOp, relation: Relation, scope) -> F
     if p.b.. and p.b'.. are in R and p'.b.. satisfies the constraint, so
     does phi(p'.b.., p.b.., p.b'..) = p'.b'... So the rest is _walk,
     without sections, and the frame the walks built is returned as it is.
+    A frame, phi or relation of another class raises TypeError.
     """
+    _require_type(frame, Frame, "frame")
+    _require_type(phi, MaltsevOp, "phi")
+    _require_type(relation, Relation, "relation")
     n = frame.arity
     relation, scope = collapse_scope(relation, scope)
     for v in scope:
@@ -601,6 +638,56 @@ def _closed_tail(frame: Frame, variables: tuple, last: dict, step: int) -> tuple
     return keep, c
 
 
+# Each relation's step cache holds at most _STEP_BUDGET frame cells (rows
+# times arity, over its keys' frames and its frames); a step whose met
+# frames hold more than _STEP_SHARE cells is neither looked up nor stored.
+_STEP_BUDGET = 1 << 14
+_STEP_SHARE = _STEP_BUDGET >> 8
+
+
+class _Steps:
+    """One relation's step cache: key -> (frame, cells), oldest first, and
+    the cells of all its entries, never above _STEP_BUDGET."""
+
+    __slots__ = ("entries", "cells")
+
+    def __init__(self):
+        self.entries: dict = {}
+        self.cells = 0
+
+    def store(self, key: tuple, frame: Frame) -> None:
+        """Keep `frame` under `key` (_step_key), read-only (_shared),
+        dropping the oldest entries to stay within budget; an entry above it
+        is not kept."""
+        cells = key[0] + len(frame.rows) * frame.arity
+        if cells > _STEP_BUDGET:
+            return
+        entries = self.entries
+        while self.cells + cells > _STEP_BUDGET:
+            self.cells -= entries.pop(next(iter(entries)))[1]
+        entries[key] = (_shared(frame), cells)
+        self.cells += cells
+
+
+def _step_key(phi: MaltsevOp, at: tuple, n: int, parts: list) -> Optional[tuple]:
+    """The step cache's key for adding a constraint at `at` to the product,
+    over range(n), of `parts`, the met components' (positions, frame) pairs,
+    and a free coordinate at each other position; None when the met frames
+    hold more than _STEP_SHARE cells. One flat tuple: the met frames'
+    cells, phi, n, the scope positions (as many as the relation's arity),
+    then per met component its positions, its rows, and its witness map's
+    keys then values, in order."""
+    cells = 0
+    for _, g in parts:
+        cells += len(g.rows) * g.arity
+    if cells > _STEP_SHARE:
+        return None
+    key = [cells, phi, n, *at]
+    for p, g in parts:
+        key += (p, g.rows, (*g.witness, *g.witness.values()))
+    return tuple(key)
+
+
 def _component_frames(
     structure, phi: MaltsevOp, instance: Instance, drop: bool = False
 ) -> Optional[tuple]:
@@ -617,10 +704,12 @@ def _component_frames(
     constraint reaches few positions after its scope. A variable is a free
     coordinate of its own until a constraint mentions it: each constraint
     is added to the product of the components its scope meets, by least
-    variable, and of its new variables, ascending. A constraint that meets
-    no component takes its frame from its relation when an earlier build
-    kept one (the module docstring), and keeps the frame it builds. An
-    operation over a domain of another size raises ValueError.
+    variable, and of its new variables, ascending. Each such step, one
+    that meets no component included, takes its frame from the
+    constraint's relation when an earlier step with an equal key kept one
+    (_step_key, the module docstring), and otherwise keeps the frame it
+    builds, within the relation's budget. An operation over a domain of
+    another size raises ValueError.
 
     With drop=True, before a constraint's product each component it meets
     loses its longest closed tail of equal class sizes (_closed_tail), a
@@ -630,7 +719,13 @@ def _component_frames(
     no constraint mentions times the product over all dropped tails. The
     components then hold their kept variables only, and a banded instance
     is built on frames about as wide as its band.
+
+    A structure, phi or instance of another class raises TypeError before
+    any frame is built or looked up.
     """
+    _require_type(structure, RelationalStructure, "structure")
+    _require_type(phi, MaltsevOp, "phi")
+    _require_type(instance, Instance, "instance")
     q = structure.domain_size
     if phi.q != q:
         raise ValueError(
@@ -663,13 +758,19 @@ def _component_frames(
         variables = tuple(sorted({v for vs, _ in met for v in vs}.union(new)))
         pos = {v: k for k, v in enumerate(variables)}
         at = tuple([pos[v] for v in scope])
-        f = None if met else relation._frames.get((phi, at))
-        if f is None:
-            parts = [(tuple([pos[v] for v in vs]), g) for vs, g in met]
+        parts = [(tuple([pos[v] for v in vs]), g) for vs, g in met]
+        key = _step_key(phi, at, len(variables), parts)
+        steps = relation._frames
+        if key is not None and steps is None:
+            steps = relation._frames = _Steps()
+        hit = None if key is None else steps.entries.get(key)
+        if hit is not None:
+            f = hit[0]
+        else:
             f = _product(parts + [((pos[v],), free) for v in new], len(variables))
             f = add_constraint(f, phi, relation, at)
-            if not met:
-                relation._frames[phi, at] = _shared(f)
+            if key is not None:
+                steps.store(key, f)
         if f.is_empty():
             return None
         component = (variables, f)
@@ -684,9 +785,10 @@ def build_frame(structure, phi: MaltsevOp, instance: Instance) -> Frame:
     and of one free coordinate per variable no constraint mentions,
     ascending; the empty frame if a component has no solution. Frames are
     never mutated, so the frame returned may be shared with other builds.
+    Arguments of another class raise TypeError (_component_frames).
     """
-    n = instance.num_vars
     built = _component_frames(structure, phi, instance)
+    n = instance.num_vars
     if built is None:
         return empty_frame(n)
     components, _ = built

@@ -9,8 +9,9 @@ per instance: a structure keeps one Relation per built-in name (EQ and each
 CONST_<a>) for as long as it lives, and a Relation, never mutated, keeps
 its collapsed relations (collapse_scope) for as long as it lives, at most
 one per repeat pattern of a scope in use. A Relation also carries one
-slot, _frames, that this module never reads: the frames module owns what
-it holds and documents it.
+slot, _frames, None when built, that this module never reads or writes
+again: the frames module owns what it holds, and documents its key and
+its memory bound.
 """
 
 from __future__ import annotations
@@ -50,11 +51,19 @@ def _require_int(value, what: str) -> None:
         raise ValueError("%s must be an int, got %r" % (what, value))
 
 
+def _require_type(value, cls: type, what: str) -> None:
+    """A TypeError naming the parameter unless value is a cls: the builder
+    entries' one argument-class check."""
+    if not isinstance(value, cls):
+        got = type(value).__name__
+        raise TypeError("%s must be of class %s, got %s" % (what, cls.__name__, got))
+
+
 class Relation:
     """An arity-r relation over {0..q-1}: a deduplicated, lexicographically
     sorted tuple set with O(1) membership. It keeps its collapsed
-    relations (collapse_scope), and _frames is an empty dict for the
-    frames module to fill."""
+    relations (collapse_scope), and _frames is None until the frames
+    module fills it."""
 
     __slots__ = ("arity", "tuples", "_set", "_collapsed", "_frames")
 
@@ -76,7 +85,7 @@ class Relation:
         self.tuples = tuple(sorted(seen))
         self._set = seen
         self._collapsed: dict = {}
-        self._frames: dict = {}
+        self._frames = None
 
     def __contains__(self, t) -> bool:
         return tuple(t) in self._set

@@ -22,6 +22,7 @@ from countcsp import (
     Frame,
     MaltsevOp,
     Relation,
+    RelationalStructure,
     add_constraint,
     apply,
     collapse_scope,
@@ -326,3 +327,15 @@ def union_find_blocks(pairs: Iterable[tuple]) -> BlockDecomposition:
         cols = frozenset(x for side, x in cls if side == 1)
         blocks.append((rows, cols))
     return BlockDecomposition(tuple(blocks))
+
+
+def aff3_structure() -> RelationalStructure:
+    """x + y + z = 0 (mod 3): an affine language over three elements."""
+    triples = [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0]
+    return RelationalStructure(3, {"AFF3": Relation(3, triples)})
+
+
+def n_structure() -> RelationalStructure:
+    """N = {(0,0), (0,1), (1,2)}: its classes differ in size, after 0 a
+    class {0, 1}, after 1 a class {2}."""
+    return RelationalStructure(3, {"N": Relation(2, [(0, 0), (0, 1), (1, 2)])})

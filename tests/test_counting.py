@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 import subprocess
@@ -11,7 +10,6 @@ import pytest
 from countcsp import (
     Instance,
     NotBalancedError,
-    Relation,
     RelationalStructure,
     UnknownRelationError,
     balance_matrix,
@@ -65,6 +63,38 @@ def test_unknown_relation_name_is_a_typed_error(name):
         assert isinstance(exc.value, KeyError)
         assert exc.value.args == (name,)
         assert str(exc.value) == "no relation named %r in the structure" % name
+
+
+CHAIN3 = Instance(3, [("XOR3", (0, 1, 2))])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda st, f: count(st, None, CHAIN3), "phi"),
+        (lambda st, f: count(st, MIN2, None), "instance"),
+        (lambda st, f: count(None, MIN2, CHAIN3), "structure"),
+        (lambda st, f: build_frame(st, MIN2, [("XOR3", (0, 1, 2))]), "instance"),
+        (lambda st, f: build_frame(st, MIN2.table, CHAIN3), "phi"),
+        (lambda st, f: count_frame(None, MIN2), "frame"),
+        (lambda st, f: count_frame(f, None), "phi"),
+        (lambda st, f: frames.add_constraint(f, MIN2, "XOR3", (0, 1, 2)), "relation"),
+        (lambda st, f: frames.add_constraint(f.rows, MIN2, st.relation("XOR3"), (0,)), "frame"),
+        (lambda st, f: frames.add_constraint(f, None, st.relation("XOR3"), (0, 1, 2)), "phi"),
+    ],
+    ids=[
+        "count-phi", "count-instance", "count-structure", "build_frame-instance",
+        "build_frame-phi", "count_frame-frame", "count_frame-phi", "add_constraint-relation",
+        "add_constraint-frame", "add_constraint-phi",
+    ],
+)
+def test_builder_entries_name_an_argument_of_another_class(call, name):
+    # a TypeError naming the parameter, raised before any step is looked
+    # up: the structure's relations keep no step cache
+    st = xor3_structure()
+    with pytest.raises(TypeError, match="^%s must be of class " % name):
+        call(st, frames.initial_frame(3, 2))
+    assert st.relation("XOR3")._frames is None
 
 
 # CONST_0 and CONST_1 on variable 0: unsatisfiable whatever else is there
@@ -163,20 +193,8 @@ def test_count_matches_oracle_battery():
             assert count(st, phi, inst, verify=True) == oracle_count(st, inst)
 
 
-def _aff3_structure() -> RelationalStructure:
-    triples = [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 0]
-    return RelationalStructure(3, {"AFF3": Relation(3, triples)})
-
-
-AFF3 = _aff3_structure()
-
-
-def _n_structure() -> RelationalStructure:
-    # N's classes differ in size: after 0 a class {0, 1}, after 1 a class {2}
-    return RelationalStructure(3, {"N": Relation(2, [(0, 0), (0, 1), (1, 2)])})
-
-
-N = _n_structure()
+AFF3 = helpers.aff3_structure()
+N = helpers.n_structure()
 
 
 def test_count_matches_oracle_on_seven_languages():
@@ -198,30 +216,83 @@ def test_count_matches_oracle_on_seven_languages():
             assert count(st, phi, inst, verify=True) == want, inst.constraints
 
 
-def _frame_count_and_trace(st, phi, inst) -> tuple:
+def _frame_count_and_trace(st, phi, inst, build_first=False) -> tuple:
     trace: list = []
+    if build_first:
+        text = frames.dump(build_frame(st, phi, inst))
     counted = count(st, phi, inst, trace=trace)
-    return frames.dump(build_frame(st, phi, inst)), counted, trace
+    if not build_first:
+        text = frames.dump(build_frame(st, phi, inst))
+    return text, counted, trace
 
 
-def test_frames_kept_on_relations_change_no_result():
-    # a structure shared by the whole battery keeps each fresh-variable
-    # constraint's frame and each collapsed relation on its relations; a
-    # new structure per draw starts with none, so builds every one
+def _met_hits(monkeypatch) -> dict:
+    # steps that meet a component and are looked up, and those of them
+    # that miss: each miss stores its frame, a hit stores nothing
+    tally = {"looked_up": 0, "stored": 0}
+    met_keys: set = set()
+    key_of, store = frames._step_key, frames._Steps.store
+
+    def looked_up(phi, at, n, parts):
+        key = key_of(phi, at, n, parts)
+        if parts and key is not None:
+            tally["looked_up"] += 1
+            met_keys.add(key)
+        return key
+
+    def stored(self, key, frame):
+        tally["stored"] += key in met_keys
+        return store(self, key, frame)
+
+    monkeypatch.setattr(frames, "_step_key", looked_up)
+    monkeypatch.setattr(frames._Steps, "store", stored)
+    return tally
+
+
+def test_frames_kept_on_relations_change_no_result(monkeypatch):
+    # a structure shared by the whole battery keeps its builder steps'
+    # frames and its collapsed relations on its relations, and serves
+    # count and build_frame in turn: the draws in order, count first, then
+    # in reverse, build_frame first. A new structure per draw starts with
+    # none, so builds every one
     factories = [
-        xor3_structure, lambda: diagonal_structure(3), _aff3_structure,
-        even_parity4_structure, constants_structure, rank_defect_structure, _n_structure,
+        xor3_structure, lambda: diagonal_structure(3), helpers.aff3_structure,
+        even_parity4_structure, constants_structure, rank_defect_structure, helpers.n_structure,
     ]
+    tally = _met_hits(monkeypatch)
     for factory in factories:
         shared = factory()
         phi = find_maltsev(shared)
         rng = random.Random(5)
         max_vars = 4 if shared.domain_size > 3 else 7
-        for _ in range(150):
-            inst = random_instance(shared, rng, max_vars=max_vars, max_constraints=7)
-            fresh = _frame_count_and_trace(factory(), phi, inst)
-            assert _frame_count_and_trace(shared, phi, inst) == fresh, inst.constraints
-        assert shared.relation(shared.relation_names[0])._frames
+        draws = [
+            random_instance(shared, rng, max_vars=max_vars, max_constraints=7)
+            for _ in range(150)
+        ]
+        for build_first, order in ((False, draws), (True, draws[::-1])):
+            for inst in order:
+                fresh = _frame_count_and_trace(factory(), phi, inst, build_first)
+                assert _frame_count_and_trace(shared, phi, inst, build_first) == fresh, (
+                    inst.constraints
+                )
+        assert shared.relation(shared.relation_names[0])._frames.entries
+    # steps that meet a component hit too, not only fresh-variable ones
+    assert tally["looked_up"] > tally["stored"] > 0
+
+
+def test_a_step_that_meets_a_component_is_kept(monkeypatch):
+    # XOR3(1, 2, 3) then XOR3(0, 1, 2), and the same shape shifted up one
+    # variable: the second build repeats both steps, the later of which
+    # meets the component of the first
+    st = xor3_structure()
+    arities = _add_constraint_arities(monkeypatch)
+    first = Instance(4, [("XOR3", (0, 1, 2)), ("XOR3", (1, 2, 3))])
+    assert frames.dump(build_frame(st, MIN2, first)).startswith("frame n=4 rows=3")
+    assert arities == [3, 4]
+    del arities[:]
+    shifted = Instance(5, [("XOR3", (1, 2, 3)), ("XOR3", (2, 3, 4))])
+    assert frames.dump(build_frame(st, MIN2, shifted)).startswith("frame n=5 rows=4")
+    assert arities == []
 
 
 def test_a_frame_kept_on_a_relation_cannot_be_changed_through_a_build():
@@ -243,6 +314,85 @@ def test_a_frame_kept_on_a_relation_cannot_be_changed_through_a_build():
     assert count(st, MIN2, inst) == 4
 
 
+def test_step_caches_stay_within_their_budget(monkeypatch):
+    # 2,000 distinct seeded instances over each of three languages, each
+    # counted and built on one structure, then build_frame of a chain whose
+    # frames outgrow the share: every relation's step cache holds its
+    # entries' cells (rows times arity of the key's frames and the kept
+    # frame), at most _STEP_BUDGET in all, no key whose frames pass
+    # _STEP_SHARE and no kept frame's prefix groups; the stream stores more
+    # than XOR3's cache keeps
+    stored: dict = {}
+    store = frames._Steps.store
+
+    def counted(self, key, frame):
+        stored[id(self)] = stored.get(id(self), 0) + 1
+        return store(self, key, frame)
+
+    monkeypatch.setattr(frames._Steps, "store", counted)
+    for factory in (xor3_structure, lambda: diagonal_structure(3), even_parity4_structure):
+        st = factory()
+        phi = find_maltsev(st)
+        rng = random.Random(1)
+        seen: set = set()
+        while len(seen) < 2000:
+            inst = random_instance(st, rng, max_vars=8, max_constraints=7)
+            if inst.constraints not in seen:
+                seen.add(inst.constraints)
+                assert (count(st, phi, inst) == 0) == build_frame(st, phi, inst).is_empty()
+        name = st.relation_names[0]
+        n = 200
+        arity = st.relation(name).arity
+        wide = Instance(n, [(name, tuple(range(i, i + arity))) for i in range(n - arity + 1)])
+        assert build_frame(st, phi, wide).arity == n
+        relations = [st.relation(name), st.relation("EQ")]
+        relations += [st.relation("CONST_%d" % a) for a in range(st.domain_size)]
+        for relation in relations:
+            steps = relation._frames
+            total = 0
+            for key, (frame, cells) in steps.entries.items():
+                parts = key[3 + relation.arity:]
+                met = sum(len(p) * len(rows) for p, rows in zip(parts[0::3], parts[1::3]))
+                assert key[0] == met <= frames._STEP_SHARE
+                assert cells == met + len(frame.rows) * frame.arity
+                assert frame._groups is None
+                total += cells
+            assert steps.cells == total <= frames._STEP_BUDGET
+        assert stored[id(st.relation(name)._frames)] > len(st.relation(name)._frames.entries)
+
+
+def test_the_step_cache_holds_build_frames_peak_rss():
+    # build_frame of the XOR3 chain at n = 320 in two children, with the
+    # step cache and without it (a negative share: no step is looked up
+    # or stored); each reports its peak RSS in KiB. Keeping every step's
+    # frame, with no share or budget, took the peak from 17 to 30 MB (CPython 3.11)
+    script = textwrap.dedent("""
+        import resource, sys
+        from countcsp import Instance, build_frame, find_maltsev, frames
+        from countcsp.fixtures import xor3_structure
+        if sys.argv[1] == "off":
+            frames._STEP_SHARE = -1
+        st = xor3_structure()
+        phi = find_maltsev(st)
+        n = 320
+        inst = Instance(n, [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)])
+        assert build_frame(st, phi, inst).arity == n
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    peaks = {}
+    for cache in ("on", "off"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cache],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks[cache] = int(proc.stdout)
+    assert peaks["on"] - peaks["off"] < 1024
+
+
 def _add_constraint_arities(monkeypatch) -> list:
     arities: list = []
     original = frames.add_constraint
@@ -255,27 +405,45 @@ def _add_constraint_arities(monkeypatch) -> list:
     return arities
 
 
+def _step_arities(monkeypatch) -> list:
+    # every builder step asks for its key with the arity of the product it
+    # adds its constraint to, whether the step cache then has the frame
+    arities: list = []
+    original = frames._step_key
+
+    def recorded(phi, at, n, parts):
+        arities.append(n)
+        return original(phi, at, n, parts)
+
+    monkeypatch.setattr(frames, "_step_key", recorded)
+    return arities
+
+
 def test_a_banded_count_builds_frames_as_wide_as_its_band(monkeypatch):
     # the XOR3 chain at n = 400 and the wide component XOR3(2k, 2k+1,
     # 2k+2), k < 100: each constraint meets a frame cut after its own
-    # scope, so the frames add_constraint receives stay within 4 positions
-    # however long the instance; build_frame keeps every position. Each
-    # call gets a new structure, whose XOR3 keeps no frame yet, so every
-    # constraint is added
+    # scope, so every step's product stays within 4 positions however long
+    # the instance; build_frame keeps every position. Each call gets a new
+    # structure, whose XOR3 keeps no frame yet: the first two steps of each
+    # count build their frames, and every later step repeats the second
+    # one's key, so add_constraint runs twice
+    steps = _step_arities(monkeypatch)
     arities = _add_constraint_arities(monkeypatch)
     n = 400
     chain = Instance(n, [("XOR3", (i, i + 1, i + 2)) for i in range(n - 2)])
     assert count(xor3_structure(), MIN2, chain) == 4
-    assert len(arities) == n - 2 and max(arities) <= 4
+    assert len(steps) == n - 2 and max(steps) <= 4
+    assert arities == [3, 3]
     m = 100
     wide = Instance(2 * m + 1, [("XOR3", (2 * k, 2 * k + 1, 2 * k + 2)) for k in range(m)])
-    del arities[:]
+    del steps[:], arities[:]
     assert count(xor3_structure(), MIN2, wide) == 2 ** (m + 1)
-    assert len(arities) == m and max(arities) <= 4
-    del arities[:]
+    assert len(steps) == m and max(steps) <= 4
+    assert arities == [3, 3]
+    del steps[:], arities[:]
     chain = Instance(20, [("XOR3", (i, i + 1, i + 2)) for i in range(18)])
     assert build_frame(xor3_structure(), MIN2, chain).arity == 20
-    assert arities == list(range(3, 21))
+    assert steps == arities == list(range(3, 21))
 
 
 def test_an_n_chain_drops_no_position(monkeypatch):
@@ -290,14 +458,15 @@ def test_an_n_chain_drops_no_position(monkeypatch):
     assert dropped == 1
     assert [v for v, _ in components] == [tuple(range(n))]
     # a new structure keeps no frame yet, so every constraint is added;
-    # counted again, the first one, on two new variables, reuses its frame
-    st = _n_structure()
+    # counted again, every step finds its frame in the step cache
+    st = helpers.n_structure()
+    steps = _step_arities(monkeypatch)
     arities = _add_constraint_arities(monkeypatch)
     assert count(st, phi, chain, verify=True) == 3
-    assert arities == list(range(2, n + 1))
-    del arities[:]
+    assert steps == arities == list(range(2, n + 1))
+    del steps[:], arities[:]
     assert count(st, phi, chain, verify=True) == 3
-    assert arities == list(range(3, n + 1))
+    assert steps == list(range(2, n + 1)) and arities == []
 
 
 def test_count_matches_oracle_over_a_declared_unused_element():

@@ -486,6 +486,40 @@ def test_count_is_exact_in_any_constraint_order(k, seed, data):
     )
 
 
+# (factory, one structure that every example shares, its operation): the
+# shared structures' relations keep step caches across examples
+STEP_LANGUAGES = [
+    (factory, shared, find_maltsev(shared))
+    for factory in (
+        xor3_structure, even_parity4_structure, lambda: diagonal_structure(3),
+        constants_structure, helpers.aff3_structure, helpers.n_structure,
+    )
+    for shared in [factory()]
+]
+
+
+def _dump_count_and_trace(structure, phi, inst, build_first: bool) -> tuple:
+    trace: list = []
+    if build_first:
+        text = dump(build_frame(structure, phi, inst))
+    counted = count(structure, phi, inst, trace=trace)
+    if not build_first:
+        text = dump(build_frame(structure, phi, inst))
+    return text, counted, helpers.trace_text(trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(STEP_LANGUAGES) - 1), st.integers(0, 2**32 - 1), st.booleans())
+def test_a_shared_structure_builds_and_counts_as_a_new_one(k, seed, build_first):
+    # a frame read off a step cache that earlier examples filled, against
+    # the frame built on a new structure, whose relations keep no step yet
+    factory, shared, phi = STEP_LANGUAGES[k]
+    inst = random_instance(shared, random.Random(seed), max_vars=7, max_constraints=7)
+    assert _dump_count_and_trace(shared, phi, inst, build_first) == (
+        _dump_count_and_trace(factory(), phi, inst, build_first)
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, len(SECTION_LANGUAGES) - 1), st.integers(0, 2**32 - 1), st.data())
 def test_add_constraint_keeps_the_tuples_that_satisfy_it(k, seed, data):

@@ -208,8 +208,12 @@ def test_one_count_builds_each_section_once(monkeypatch):
     # is one pair closure, so the other 153 closures are build_frame's.
     # Dropping each closed tail before the next constraint's product made
     # those 153 into 0: every frame ends at the constraint's last scope
-    # position, so add_constraint walks nothing past it.
-    assert calls == {"closure_project": 1, "_fix_first": 0, "projection": 18}
+    # position, so add_constraint walks nothing past it. Keeping every
+    # step's frame on its relation made 18 projection scans into 2: the
+    # first two constraints build their frames, and each later one repeats
+    # the second one's step (the same cut frame, scope positions and
+    # product), so it takes that frame and adds nothing.
+    assert calls == {"closure_project": 1, "_fix_first": 0, "projection": 2}
     # count_frame alone reads both classes off the sections' witness maps,
     # one lookup per class test (the two readings above made 835 closures,
     # 70 sections and 855 projection scans; one section's pair closure 685
