@@ -12,11 +12,11 @@ import itertools
 
 from countcsp import (
     Instance,
+    SectionCache,
     add_constraint,
     build_frame,
     dump,
     find_maltsev,
-    fix_prefix,
     initial_frame,
     member,
     span,
@@ -49,7 +49,7 @@ print("matches the span on all tuples:", all(
 ))
 
 # Sections: pin a prefix and get a frame of the tail relation.
-sec = fix_prefix(g, phi, (1, 0))
+sec = SectionCache(g, phi).get((1, 0))
 print("\nafter pinning x1=1, x2=0 the tail frame spans:", span(sec, phi).tuples)
 
 # add_constraint is the workhorse: here equality of two variables.

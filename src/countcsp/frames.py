@@ -459,21 +459,15 @@ def _fix_first(frame: Frame, phi: MaltsevOp, a: int) -> Frame:
 
     The witness walk from a's witness row at position 0, then coordinate 0
     dropped: by add_constraint's argument past a scope, with the constraint
-    x0 = a, a later class meets the section wholly or not at all.
+    x0 = a, a later class meets the section wholly or not at all. The
+    frame has positive arity: SectionCache.get pins no more positions than
+    its frame has.
     """
     n = frame.arity
-    if n < 1:
-        raise ValueError("nothing to pin in an arity-0 frame")
     if (a, 0) not in frame.witness:
         return empty_frame(n - 1)
     rows, witness = _walk(frame, phi, {frame.witness_row(a, 0): 0}, {}, 1)
     return Frame(n - 1, (r[1:] for r in rows), {(b, i - 1): k for (b, i), k in witness.items()})
-
-
-def fix_prefix(frame: Frame, phi: MaltsevOp, values: Sequence[int]) -> Frame:
-    """Frame for the relation with its first len(values) coordinates pinned,
-    over the remaining coordinates. Empty iff no extension exists."""
-    return SectionCache(frame, phi).get(values)
 
 
 class SectionCache:
@@ -484,21 +478,34 @@ class SectionCache:
     same frame; caching by prefix builds each section once, from its parent
     by one witness walk. One count shares one cache among all of its
     congruences, which read both classes off the sections' witness maps;
-    add_constraint reads the sections too.
+    add_constraint reads the sections too. A frame or phi of another class
+    raises TypeError.
     """
 
     def __init__(self, frame: Frame, phi: MaltsevOp):
+        _require_type(frame, Frame, "frame")
+        _require_type(phi, MaltsevOp, "phi")
         _check_reach(frame, phi)
         self.frame = frame
         self.phi = phi
         self._cache: dict = {(): frame}
 
     def get(self, values: Sequence[int]) -> Frame:
+        """Frame for the relation with its first len(values) coordinates
+        pinned to `values`, over the remaining coordinates; empty iff no
+        extension exists. A prefix longer than the frame's arity, or a
+        value that is not an int, raises ValueError when first pinned."""
         values = tuple(values)
         cache = self._cache
         f = cache.get(values)
         if f is not None:
             return f
+        if len(values) > self.frame.arity:
+            raise ValueError(
+                "prefix of length %d for a frame of arity %d" % (len(values), self.frame.arity)
+            )
+        for v in values:
+            _require_int(v, "prefix value")
         k = len(values) - 1
         while values[:k] not in cache:
             k -= 1

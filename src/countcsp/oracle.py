@@ -1,26 +1,25 @@
 """Brute-force reference implementations.
 
 Everything here enumerates the full assignment space and never touches the
-frame machinery, so it can serve as an independent check of the fast path.
+frame machinery, so it can serve as an independent check of the fast path:
+the CLI's `oracle` and `selftest` commands count through it.
 All functions refuse instances whose search space exceeds a caller-supplied
-cap instead of silently taking forever.
+cap instead of silently taking forever. Oracles that only the tests read
+(balance splits and position congruences of an explicit relation) live
+with the tests' other reference implementations.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 from .relations import (
-    CongruencePair,
     CountMatrix,
     Instance,
-    Partition,
     Relation,
     RelationalStructure,
     _require_int,
     pair_matrix,
-    partition_from_groups,
 )
 
 
@@ -71,60 +70,6 @@ def oracle_count(
     if instance.num_vars == 0:
         return 1
     return len(enumerate_solutions(structure, instance, cap_bits))
-
-
-def oracle_balance(relation: Relation, split: Sequence[int]) -> CountMatrix:
-    """Count matrix of a relation split into three coordinate groups
-    (left, middle, trailing): entry (x, y) counts the tuples whose first
-    values equal x and next values equal y, with the trailing group summed
-    out. Labels are value tuples."""
-    left, middle, rest = split
-    for part in (left, middle, rest):
-        _require_int(part, "split size")
-    if left < 1 or middle < 1 or rest < 0 or left + middle + rest != relation.arity:
-        raise ValueError("split %r does not fit arity %d" % (tuple(split), relation.arity))
-    entries: dict = {}
-    for t in relation:
-        key = (t[:left], t[left:left + middle])
-        entries[key] = entries.get(key, 0) + 1
-    rows = sorted({x for (x, _) in entries})
-    cols = sorted({y for (_, y) in entries})
-    return CountMatrix(rows, cols, entries)
-
-
-def oracle_congruence(relation: Relation, i: int) -> Partition:
-    """Partition of the position-i values of a relation by "some two tuples
-    with equal length-i prefixes take these values at i", closed
-    transitively."""
-    _require_int(i, "position")
-    if not 0 <= i < relation.arity:
-        raise ValueError("position out of range")
-    groups: dict = {}
-    for t in relation:
-        groups.setdefault(t[:i], set()).add(t[i])
-    return partition_from_groups(groups.values())
-
-
-def oracle_congruence_pair(relation: Relation, i: int, j: int) -> CongruencePair:
-    """Both congruences of a coordinate pair, read off the explicit tuple
-    set: forward groups position-j values under equal length-(i+1) prefixes,
-    backward groups position-i values under equal length-i prefix plus equal
-    position-j value."""
-    _require_int(i, "position i")
-    _require_int(j, "position j")
-    if not 0 <= i < j < relation.arity:
-        raise ValueError("need 0 <= i < j < arity")
-    fwd: dict = {}
-    bwd: dict = {}
-    for t in relation:
-        fwd.setdefault(t[: i + 1], set()).add(t[j])
-        bwd.setdefault((t[:i], t[j]), set()).add(t[i])
-    return CongruencePair(
-        i,
-        j,
-        partition_from_groups(fwd.values()),
-        partition_from_groups(bwd.values()),
-    )
 
 
 def balance_matrix(

@@ -6,9 +6,7 @@ entries. Everything here is plain combinatorics with no search in it.
 
 What depends on the language alone is built once per language, not once
 per instance: a structure keeps one Relation per built-in name (EQ and each
-CONST_<a>) for as long as it lives, and a Relation, never mutated, keeps
-its collapsed relations (collapse_scope) for as long as it lives, at most
-one per repeat pattern of a scope in use. A Relation also carries one
+CONST_<a>) for as long as it lives. A Relation, never mutated, carries one
 slot, _frames, None when built, that this module never reads or writes
 again: the frames module owns what it holds, and documents its key and
 its memory bound.
@@ -61,11 +59,10 @@ def _require_type(value, cls: type, what: str) -> None:
 
 class Relation:
     """An arity-r relation over {0..q-1}: a deduplicated, lexicographically
-    sorted tuple set with O(1) membership. It keeps its collapsed
-    relations (collapse_scope), and _frames is None until the frames
-    module fills it."""
+    sorted tuple set with O(1) membership. _frames is None until the
+    frames module fills it."""
 
-    __slots__ = ("arity", "tuples", "_set", "_collapsed", "_frames")
+    __slots__ = ("arity", "tuples", "_set", "_frames")
 
     def __init__(self, arity: int, tuples: Iterable[Sequence[int]]):
         _require_int(arity, "relation arity")
@@ -84,7 +81,6 @@ class Relation:
         self.arity = arity
         self.tuples = tuple(sorted(seen))
         self._set = seen
-        self._collapsed: dict = {}
         self._frames = None
 
     def __contains__(self, t) -> bool:
@@ -129,26 +125,20 @@ def project(relation: Relation, indices: Sequence[int]) -> Relation:
 def collapse_scope(relation: Relation, scope: Sequence[int]):
     """Replace repeated scope variables by intersecting with the diagonal:
     the result has distinct variables (in order of first occurrence) and may
-    be empty. The collapsed relation depends only on the repeat pattern,
-    each variable's rank in that order, as (0, 1, 0) for (x, y, x); it is
-    built once per pattern and kept on the source relation."""
+    be empty. A relation of another class raises TypeError."""
+    _require_type(relation, Relation, "relation")
     scope = tuple(scope)
     if len(scope) != relation.arity:
         raise ValueError("scope length does not match relation arity")
-    if len(set(scope)) == len(scope):
-        return relation, scope
     distinct = tuple(dict.fromkeys(scope))
-    rank = {v: k for k, v in enumerate(distinct)}
-    pattern = tuple([rank[v] for v in scope])
-    collapsed = relation._collapsed.get(pattern)
-    if collapsed is None:
-        kept = []
-        for t in relation:
-            value = dict(zip(pattern, t))
-            if len(value) == len(set(zip(pattern, t))):  # repeated variables agree
-                kept.append(tuple(value.values()))
-        collapsed = relation._collapsed[pattern] = Relation(len(distinct), kept)
-    return collapsed, distinct
+    if len(distinct) == len(scope):
+        return relation, scope
+    kept = []
+    for t in relation:
+        value = dict(zip(scope, t))
+        if len(value) == len(set(zip(scope, t))):  # repeated variables agree
+            kept.append(tuple(value.values()))
+    return Relation(len(distinct), kept), distinct
 
 
 @dataclass(frozen=True)
@@ -421,30 +411,6 @@ class CongruencePair:
     j: int
     forward: Partition
     backward: Partition
-
-
-def partition_from_groups(groups: Iterable[Iterable]) -> Partition:
-    """Transitive closure of "appear in a common group" via union-find."""
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in groups:
-        g = list(g)
-        for x in g:
-            parent.setdefault(x, x)
-        for x in g[1:]:
-            rx, r0 = find(x), find(g[0])
-            if rx != r0:
-                parent[rx] = r0
-    out: dict = {}
-    for x in parent:
-        out.setdefault(find(x), set()).add(x)
-    return Partition.from_classes(out.values())
 
 
 class RelationalStructure:

@@ -8,6 +8,10 @@ that closure_project's output order is compared against; frame_from_rows,
 which adopts explicit tuple sets as frames; trace_text, the canonical
 text that count traces are compared and pinned as; and relation_text, the
 canonical text of a generated relation, read through member.
+
+The oracles read off an explicit relation live here too, as no code in the
+package calls them: oracle_balance, oracle_congruence and
+oracle_congruence_pair, built on partition_from_groups, a union-find.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from typing import Iterable
 
 from countcsp import (
     BlockDecomposition,
+    CongruencePair,
     CountMatrix,
     Frame,
     MaltsevOp,
+    Partition,
     Relation,
     RelationalStructure,
     add_constraint,
@@ -29,9 +35,81 @@ from countcsp import (
     empty_frame,
     initial_frame,
     member,
-    partition_from_groups,
     project,
 )
+
+
+def partition_from_groups(groups: Iterable[Iterable]) -> Partition:
+    """Transitive closure of "appear in a common group" via union-find."""
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in groups:
+        g = list(g)
+        for x in g:
+            parent.setdefault(x, x)
+        for x in g[1:]:
+            rx, r0 = find(x), find(g[0])
+            if rx != r0:
+                parent[rx] = r0
+    out: dict = {}
+    for x in parent:
+        out.setdefault(find(x), set()).add(x)
+    return Partition.from_classes(out.values())
+
+
+def oracle_balance(relation: Relation, split) -> CountMatrix:
+    """Count matrix of a relation split into three coordinate groups
+    (left, middle, trailing): entry (x, y) counts the tuples whose first
+    values equal x and next values equal y, with the trailing group summed
+    out. Labels are value tuples."""
+    left, middle, rest = split
+    if left < 1 or middle < 1 or rest < 0 or left + middle + rest != relation.arity:
+        raise ValueError("split %r does not fit arity %d" % (tuple(split), relation.arity))
+    entries: dict = {}
+    for t in relation:
+        key = (t[:left], t[left:left + middle])
+        entries[key] = entries.get(key, 0) + 1
+    rows = sorted({x for (x, _) in entries})
+    cols = sorted({y for (_, y) in entries})
+    return CountMatrix(rows, cols, entries)
+
+
+def oracle_congruence(relation: Relation, i: int) -> Partition:
+    """Partition of the position-i values of a relation by "some two tuples
+    with equal length-i prefixes take these values at i", closed
+    transitively."""
+    if not 0 <= i < relation.arity:
+        raise ValueError("position out of range")
+    groups: dict = {}
+    for t in relation:
+        groups.setdefault(t[:i], set()).add(t[i])
+    return partition_from_groups(groups.values())
+
+
+def oracle_congruence_pair(relation: Relation, i: int, j: int) -> CongruencePair:
+    """Both congruences of a coordinate pair, read off the explicit tuple
+    set: forward groups position-j values under equal length-(i+1) prefixes,
+    backward groups position-i values under equal length-i prefix plus equal
+    position-j value."""
+    if not 0 <= i < j < relation.arity:
+        raise ValueError("need 0 <= i < j < arity")
+    fwd: dict = {}
+    bwd: dict = {}
+    for t in relation:
+        fwd.setdefault(t[: i + 1], set()).add(t[j])
+        bwd.setdefault((t[:i], t[j]), set()).add(t[i])
+    return CongruencePair(
+        i,
+        j,
+        partition_from_groups(fwd.values()),
+        partition_from_groups(bwd.values()),
+    )
 
 
 def fraction_rank(rows) -> int:

@@ -23,8 +23,6 @@ from countcsp import (
     find_maltsev,
     is_rank_one_block,
     member,
-    oracle_congruence,
-    oracle_congruence_pair,
     oracle_count,
     rank_one_identity_holds,
     reconstruct_rank_one,
@@ -212,7 +210,7 @@ def test_c4_frame_size_and_invariants(capsys):
             for row in frame.rows:
                 assert row in sols
             for i in range(n):
-                for cls in oracle_congruence(sols, i):
+                for cls in helpers.oracle_congruence(sols, i):
                     prefixes = {frame.witness_row(a, i)[:i] for a in cls}
                     assert len(prefixes) == 1, (label, inst, i, cls)
             verified += 1
@@ -338,7 +336,7 @@ def test_c7_congruences_and_stage_matrices(capsys):
             for i in range(1, frame.arity - 1):
                 for j in range(i + 1, frame.arity):
                     got = congruences(frame, phi, i, j)
-                    want = oracle_congruence_pair(sols, i, j)
+                    want = helpers.oracle_congruence_pair(sols, i, j)
                     assert got.forward == want.forward, (label, inst, i, j)
                     assert got.backward == want.backward, (label, inst, i, j)
                     pairs += 1

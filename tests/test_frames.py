@@ -23,9 +23,9 @@ from countcsp import (
     dump,
     enumerate_solutions,
     find_maltsev,
-    fix_prefix,
     initial_frame,
     member,
+    oracle_count,
     shrink_to_small,
     span,
 )
@@ -105,7 +105,7 @@ def test_add_constraint_and_sections_reject_a_malformed_frame():
         with pytest.raises(ValueError, match="frame invariants"):
             add_constraint(f, MIN2, relation, scope)
     with pytest.raises(ValueError, match="frame invariants"):
-        fix_prefix(f, MIN2, (1,))
+        SectionCache(f, MIN2).get((1,))
     # this one's row (1, 1) reaches 1 at position 0, the scope's last
     # position, where 1 has no witness: the pre-check up to there rejects it
     g = Frame(2, [(0, 0), (1, 1)], {(0, 0): 0, (0, 1): 0, (1, 1): 1})
@@ -245,18 +245,19 @@ def test_shrink_keeps_span_and_bounds_size():
         assert span(small, MIN2) == full
 
 
-def test_fix_prefix_sections():
+def test_prefix_sections():
     f = build_frame(XOR3, MIN2, Instance(3, [("XOR3", (0, 1, 2))]))
-    sec = fix_prefix(f, MIN2, (1,))
+    sections = SectionCache(f, MIN2)
+    sec = sections.get((1,))
     assert span(sec, MIN2) == Relation(2, [(0, 1), (1, 0)])
-    sec2 = fix_prefix(f, MIN2, (1, 0))
+    sec2 = sections.get((1, 0))
     assert span(sec2, MIN2) == Relation(1, [(1,)])
     # pinning the whole tuple leaves the arity-0 witness of nonemptiness
-    sec3 = fix_prefix(f, MIN2, (1, 0, 1))
+    sec3 = sections.get((1, 0, 1))
     assert sec3.arity == 0 and not sec3.is_empty()
     # unreachable prefix gives the empty frame
     g = build_frame(CONSTS, find_maltsev(CONSTS), Instance(2, [("C0", (0,))]))
-    assert fix_prefix(g, find_maltsev(CONSTS), (1,)).is_empty()
+    assert SectionCache(g, find_maltsev(CONSTS)).get((1,)).is_empty()
 
 
 def test_section_cache_pins_long_prefixes_without_recursion():
@@ -268,7 +269,10 @@ def test_section_cache_pins_long_prefixes_without_recursion():
         sec = SectionCache(f, MIN2).get(prefix)
     finally:
         sys.setrecursionlimit(limit)
-    assert dump(sec) == dump(fix_prefix(f, MIN2, prefix))
+    fresh = f
+    for a in prefix:
+        fresh = frames._fix_first(fresh, MIN2, a)
+    assert dump(sec) == dump(fresh)
     assert sec.arity == 15 and len(sec.rows) == 16
 
 
@@ -285,10 +289,10 @@ def _aff3_frame() -> Frame:
         lambda f: member(f, MIN2, (1, 2, 0)),
         lambda f: span(f, MIN2),
         lambda f: add_constraint(f, MIN2, Relation(1, [(0,)]), (0,)),
-        lambda f: fix_prefix(f, MIN2, (1,)),
+        lambda f: SectionCache(f, MIN2).get((1,)),
         lambda f: count_frame(f, MIN2),
     ],
-    ids=["member", "span", "add_constraint", "fix_prefix", "count_frame"],
+    ids=["member", "span", "add_constraint", "SectionCache", "count_frame"],
 )
 def test_an_operation_over_too_few_elements_is_a_value_error(call):
     # xor3's operation on a frame of aff3: raw IndexErrors, and count_frame
@@ -311,17 +315,74 @@ def test_collapse_scope():
     assert scope == (1, 0)
     assert collapsed.tuples == ((0, 0), (1, 0))
     same, scope2 = collapse_scope(rel, (2, 0, 1))
-    assert same is rel and scope2 == (2, 0, 1)
-    # one collapsed relation per repeat pattern, kept on its source
+    assert same.tuples == rel.tuples and scope2 == (2, 0, 1)
+    # the collapsed relation depends on the repeat pattern only
     first, scope3 = collapse_scope(rel, (1, 2, 1))
     again, scope4 = collapse_scope(rel, (1, 2, 1))
     other, scope5 = collapse_scope(rel, (4, 0, 4))
-    assert first is again is other
+    assert first.tuples == again.tuples == other.tuples == ((0, 0), (1, 0))
     assert (scope3, scope4, scope5) == ((1, 2), (1, 2), (4, 0))
-    assert first.tuples == ((0, 0), (1, 0))
-    assert collapse_scope(rel, (1, 1, 0))[0] is collapsed is not first
+    assert collapse_scope(rel, (1, 1, 0))[0].tuples == collapsed.tuples
+    assert collapsed.arity == first.arity == 2
     empty, _ = collapse_scope(Relation(2, [(0, 1), (1, 0)]), (0, 0))
     assert len(empty) == 0
+
+
+def test_collapse_scope_rejects_a_relation_name():
+    # a name where the Relation belongs raised a raw AttributeError
+    with pytest.raises(TypeError, match="^relation must be of class Relation, got str"):
+        collapse_scope("XOR3", (0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: SectionCache(None, MIN2), "frame"),
+        (lambda: SectionCache(initial_frame(3, 2), None), "phi"),
+    ],
+    ids=["frame", "phi"],
+)
+def test_section_cache_names_an_argument_of_another_class(make, name):
+    # each raised a raw AttributeError
+    with pytest.raises(TypeError, match="^%s must be of class " % name):
+        make()
+
+
+def test_section_cache_rejects_a_prefix_it_cannot_pin():
+    sections = SectionCache(initial_frame(3, 2), MIN2)
+    # one value past the arity reached an arity-0 section, "nothing to pin"
+    with pytest.raises(ValueError, match="^prefix of length 4 for a frame of arity 3$"):
+        sections.get((0, 0, 0, 0))
+    # 0.5 had no witness, so its section was silently empty
+    for prefix in ((0.5,), (0, "1"), (True,)):
+        with pytest.raises(ValueError, match="^prefix value must be an int"):
+            sections.get(prefix)
+    assert span(sections.get((0, 1)), MIN2) == Relation(1, [(0,), (1,)])
+    assert sections.get((0, 1, 1)).arity == 0
+
+
+def test_the_step_cache_needs_no_collapse_identity(monkeypatch):
+    # a repeated-variable constraint is collapsed on every call, yet a
+    # second count over the same structure builds nothing: its steps are
+    # kept on the uncollapsed relation
+    st = xor3_structure()
+    inst = Instance(4, [("XOR3", (0, 1, 0)), ("XOR3", (1, 2, 3))])
+    calls = {"add_constraint": 0, "collapse_scope": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(frames, name, counted(name, getattr(frames, name)))
+    first = count(st, MIN2, inst)
+    assert calls == {"add_constraint": 2, "collapse_scope": 2}
+    calls.update(dict.fromkeys(calls, 0))
+    second = count(st, MIN2, inst)
+    assert calls == {"add_constraint": 0, "collapse_scope": 0}
+    assert first == second == oracle_count(st, inst) == 4
 
 
 def test_add_constraint_examples():

@@ -7,13 +7,11 @@ from countcsp import (
     count,
     enumerate_solutions,
     find_maltsev,
-    oracle_balance,
-    oracle_congruence,
-    oracle_congruence_pair,
     oracle_count,
     pair_matrix,
 )
 from countcsp.fixtures import rank_defect_structure, xor3_structure
+from helpers import oracle_balance, oracle_congruence, oracle_congruence_pair
 
 
 def test_enumerate_solutions_xor3():

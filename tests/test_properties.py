@@ -27,9 +27,7 @@ from countcsp import (
     find_maltsev_with_certificate,
     is_rank_one_block,
     member,
-    oracle_congruence_pair,
     oracle_count,
-    partition_from_groups,
     project,
     span,
 )
@@ -71,7 +69,7 @@ def test_project_matches_comprehension(rows, idx):
 
 @given(st.lists(st.frozensets(st.integers(0, 9)), max_size=8))
 def test_partition_from_groups_covers_and_separates(groups):
-    part = partition_from_groups(groups)
+    part = helpers.partition_from_groups(groups)
     ground = set().union(*groups) if groups else set()
     assert set(part.ground) == ground
     seen: set = set()
@@ -586,7 +584,7 @@ def test_classes_from_shared_sections(k, seed):
         for j in range(i + 1, frame.arity):
             support = _pair_support(frame, phi, i, j)
             got = _congruences(shared, i, j, support)
-            want = oracle_congruence_pair(solutions, i, j)
+            want = helpers.oracle_congruence_pair(solutions, i, j)
             assert got.forward == want.forward
             assert got.backward == want.backward
             assert got.backward == pinned_backward(frame, phi, i, j, support)

@@ -14,11 +14,7 @@ from countcsp import (
     block_decompose,
     is_rank_one_block,
     is_rectangular,
-    oracle_balance,
-    oracle_congruence,
-    oracle_congruence_pair,
     pair_matrix,
-    partition_from_groups,
     project,
     rank_one_identity_holds,
     reconstruct_rank_one,
@@ -27,7 +23,7 @@ from countcsp import (
 )
 from countcsp.dichotomy import _PowerSearchContext
 from countcsp.maltsev import encode
-from helpers import fraction_rank, rank_one_block_oracle
+from helpers import fraction_rank, partition_from_groups, rank_one_block_oracle
 
 
 def test_relation_dedups_and_sorts():
@@ -276,17 +272,12 @@ R3 = Relation(3, [(0, 1, 0), (1, 0, 1), (1, 1, 1)])
         (lambda: project(R3, ("0",)), ValueError, "^projection index must be an int"),
         (lambda: project(R3, (True,)), ValueError, "^projection index must be an int"),
         (lambda: is_rectangular(R3, "1"), ValueError, "^left arity must be an int"),
-        (lambda: oracle_congruence(R3, "1"), ValueError, "^position must be an int"),
-        (lambda: oracle_congruence_pair(R3, 0.0, 1), ValueError, "^position i must be an int"),
-        (lambda: oracle_balance(R3, (1.0, 1, 1)), ValueError, "^split size must be an int"),
         (lambda: RelationalStructure(2).relation(5), UnknownRelationError, "5"),
         (lambda: Instance(3, [("R", 1)]), ValueError, "^scope 1 is not a sequence"),
     ],
     ids=[
         "pair_matrix-str", "pair_matrix-bool", "pair_matrix-float", "project-str",
-        "project-bool", "is_rectangular-str", "oracle_congruence-str",
-        "oracle_congruence_pair-float", "oracle_balance-float", "relation-int-name",
-        "instance-int-scope",
+        "project-bool", "is_rectangular-str", "relation-int-name", "instance-int-scope",
     ],
 )
 def test_positions_names_and_scopes_raise_typed_errors(make, error, match):
